@@ -48,6 +48,11 @@ class BadRequestError(ServeError):
     """Raised when an HTTP request is malformed (maps to a 400 response)."""
 
 
+class PayloadTooLargeError(BadRequestError):
+    """Raised when an HTTP request body exceeds the server's size cap
+    (maps to a 413 response)."""
+
+
 class AnalysisError(ReproError):
     """Raised on invalid static-analysis inputs (bad baseline, unknown rule)."""
 

@@ -34,7 +34,15 @@ Endpoints (JSON unless noted):
 Error responses are structured: ``{"error": message, "code": stable
 machine code, "type": exception class name}`` with 404 for unknown
 endpoints, 400 for invalid requests (:mod:`repro.errors` taxonomy and
-parse failures), and 500 for everything else.
+parse failures), 413 for a POST body over :data:`MAX_BODY_BYTES`, and
+500 for everything else. A POST body the server cannot frame (chunked,
+or a malformed or negative ``Content-Length``) or will not read (over
+the cap) is left unread, so that response closes the connection.
+
+Each response leaves in one write — status line, headers and body — on
+a socket with Nagle's algorithm off. Sent as two writes with Nagle on,
+the body waits behind the header segment for the client's delayed ACK
+(~40 ms on Linux), which the request metrics never see.
 
 Run it with ``repro serve INDEX [--host H] [--port P] [--cache-size N]``
 (accepts both binary snapshots and JSON warehouse documents).
@@ -51,6 +59,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
     BadRequestError,
+    PayloadTooLargeError,
     ReproError,
     ServeError,
     UnknownEndpointError,
@@ -76,6 +85,10 @@ KNOWN_ENDPOINTS = frozenset(
         "/admin/apply-delta",
     }
 )
+
+#: Largest POST body the server reads (1 MiB); a longer declared
+#: ``Content-Length`` is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
 _REQUEST_SECONDS = "repro_http_request_seconds"
 _REQUESTS_TOTAL = "repro_http_requests_total"
@@ -135,6 +148,8 @@ def _error_shape(exc: BaseException) -> tuple[int, str]:
     """HTTP status + stable machine ``code`` for an exception."""
     if isinstance(exc, UnknownEndpointError):
         return 404, "not_found"
+    if isinstance(exc, PayloadTooLargeError):
+        return 413, "payload_too_large"
     if isinstance(exc, (ValueError, KeyError, TypeError, ReproError)):
         return 400, "bad_request"
     return 500, "internal_error"
@@ -144,6 +159,8 @@ class WarehouseRequestHandler(BaseHTTPRequestHandler):
     """Routes requests to the server's shared engine."""
 
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted connection (StreamRequestHandler).
+    disable_nagle_algorithm = True
     server: "ThemeCommunityServer"
 
     # ------------------------------------------------------------------
@@ -154,8 +171,18 @@ class WarehouseRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # end_headers() would flush the header block as a write of its
+        # own, and the body would wait behind it for the client's
+        # delayed ACK. Send both in one write instead: the stdlib
+        # buffers headers in _headers_buffer (none for HTTP/0.9).
+        parts = getattr(self, "_headers_buffer", [])
+        self._headers_buffer = []
+        if parts:
+            parts.append(b"\r\n")
+        parts.append(body)
+        self.wfile.write(b"".join(parts))
 
     def _send_json(self, payload: dict | list, status: int = 200) -> None:
         self._send_body(
@@ -288,12 +315,40 @@ class WarehouseRequestHandler(BaseHTTPRequestHandler):
         else:
             raise UnknownEndpointError(f"unknown endpoint {url.path}")
 
+    def _read_body(self) -> bytes:
+        """The POST body, framed by its one ``Content-Length``.
+
+        HTTP/1.1 keeps connections alive, so the body must be drained
+        even on error paths — leftover bytes would be parsed as the
+        start of the next request on a pooled connection. A body that
+        cannot be framed or is over the cap is not read at all, so the
+        connection closes after the error response instead.
+        """
+        raw = ",".join(self.headers.get_all("Content-Length", ["0"])).strip()
+        try:
+            if "Transfer-Encoding" in self.headers:
+                raise BadRequestError(
+                    "Transfer-Encoding is not supported; "
+                    "send the body with a Content-Length"
+                )
+            if not (raw.isascii() and raw.isdigit()):
+                raise BadRequestError(
+                    "Content-Length must be one non-negative integer, "
+                    f"got {raw[:40]!r}"
+                )
+            # The length test keeps int() clear of its 4300-digit limit.
+            if len(raw) > 18 or int(raw) > MAX_BODY_BYTES:
+                raise PayloadTooLargeError(
+                    f"request body of {raw[:40]} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit"
+                )
+        except BadRequestError:
+            self.close_connection = True
+            raise
+        return self.rfile.read(int(raw))
+
     def _route_post(self, url, params: dict) -> None:
-        # HTTP/1.1 keeps connections alive, so the body must be drained
-        # even on error paths — leftover bytes would be parsed as the
-        # start of the next request on a pooled connection.
-        length = int(self.headers.get("Content-Length", "0"))
-        body = self.rfile.read(length)
+        body = self._read_body()
         if url.path == "/admin/apply-delta":
             self._apply_delta(body)
             return
@@ -529,6 +584,7 @@ def start_server_thread(
 
 __all__ = [
     "KNOWN_ENDPOINTS",
+    "MAX_BODY_BYTES",
     "WarehouseRequestHandler",
     "ThemeCommunityServer",
     "create_server",

@@ -12,6 +12,8 @@ import pytest
 
 from repro.index.query import QueryAnswer
 from repro.index.warehouse import ThemeCommunityWarehouse
+from repro.serve.engine import IndexedWarehouse
+from repro.serve.server import start_server_thread
 from repro.serve.snapshot import write_snapshot
 
 
@@ -44,3 +46,14 @@ def toy_snapshot_path(toy_warehouse, tmp_path):
     path = tmp_path / "toy.tcsnap"
     write_snapshot(toy_warehouse.tree, path)
     return path
+
+
+@pytest.fixture()
+def running_server(toy_snapshot_path):
+    """``(base URL, engine)`` of a server on an ephemeral loopback port."""
+    engine = IndexedWarehouse.open(toy_snapshot_path)
+    server, _thread = start_server_thread(engine)
+    yield f"http://127.0.0.1:{server.server_address[1]}", engine
+    server.shutdown()
+    server.server_close()
+    engine.close()

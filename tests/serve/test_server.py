@@ -14,16 +14,6 @@ from repro.serve.engine import IndexedWarehouse
 from repro.serve.server import start_server_thread
 
 
-@pytest.fixture()
-def running_server(toy_snapshot_path):
-    engine = IndexedWarehouse.open(toy_snapshot_path)
-    server, _thread = start_server_thread(engine)
-    yield f"http://127.0.0.1:{server.server_address[1]}", engine
-    server.shutdown()
-    server.server_close()
-    engine.close()
-
-
 def _get(base: str, path: str) -> dict:
     with urllib.request.urlopen(base + path, timeout=10) as response:
         return json.load(response)

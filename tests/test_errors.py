@@ -5,6 +5,7 @@ import pytest
 from repro.errors import (
     AnalysisError,
     BadRequestError,
+    PayloadTooLargeError,
     ReproError,
     ServeError,
     TCIndexError,
@@ -18,6 +19,9 @@ class TestTaxonomy:
 
     def test_bad_request_is_a_serve_error(self):
         assert issubclass(BadRequestError, ServeError)
+
+    def test_payload_too_large_is_a_bad_request(self):
+        assert issubclass(PayloadTooLargeError, BadRequestError)
 
 
 class TestIndexErrorRename:

@@ -34,7 +34,6 @@ from repro.edgenet.finder import (
     maximal_edge_pattern_truss,
 )
 from repro.edgenet.index import (
-    EdgeQueryAnswer,
     EdgeTCNode,
     EdgeTCTree,
     build_edge_tc_tree,
@@ -52,7 +51,6 @@ __all__ = [
     "EdgeThemeCommunityFinder",
     "EdgeTrussDecomposition",
     "decompose_edge_network_pattern",
-    "EdgeQueryAnswer",
     "EdgeTCNode",
     "EdgeTCTree",
     "build_edge_tc_tree",

@@ -20,7 +20,6 @@ loop as the parity oracle.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -78,46 +77,13 @@ class EdgeTCNode(TCNode):
         )
 
 
-class EdgeQueryAnswer(QueryAnswer):
-    """A :class:`QueryAnswer` over an edge TC-Tree.
-
-    Identical accounting to the vertex tree (RN/VN per the Figure 5
-    contract); additionally iterable as the pre-unification
-    ``[(pattern, graph), ...]`` shape for old callers — with a
-    :class:`DeprecationWarning`, via :meth:`legacy_pairs`.
-    """
-
-    def legacy_pairs(self) -> list[tuple[Pattern, object]]:
-        """The deprecated tuple-list shape (no warning — explicit opt-in)."""
-        return [(truss.pattern, truss.graph) for truss in self.trusses]
-
-    def _warn_legacy(self) -> None:
-        warnings.warn(
-            "iterating EdgeTCTree.query() answers as (pattern, graph) "
-            "tuples is deprecated; use .trusses (or .legacy_pairs())",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __iter__(self):
-        self._warn_legacy()
-        return iter(self.legacy_pairs())
-
-    def __len__(self) -> int:
-        return len(self.trusses)
-
-    def __getitem__(self, index):
-        self._warn_legacy()
-        return self.legacy_pairs()[index]
-
-
 class EdgeTCTree(TCTree):
     """A built edge TC-Tree.
 
     Shape queries (``num_nodes``/``depth``/``patterns``/``find_node``/
-    ``max_alpha``/traversal) come from :class:`TCTree` — the edge model
-    only overrides the query answer (per-edge frequencies summarize into
-    the vertex view) and the serving-layer kind tag.
+    ``max_alpha``/traversal) and the per-node calls of the one
+    Algorithm-5 walk come from :class:`TCTree` — the edge model only
+    adds the serving-layer kind tag and the query conveniences below.
     """
 
     #: Tree-model tag; the serving layer dispatches snapshot payloads
@@ -140,25 +106,10 @@ class EdgeTCTree(TCTree):
         self,
         pattern: Iterable[int] | None = None,
         alpha: float = 0.0,
-    ) -> EdgeQueryAnswer:
-        """Algorithm 5 on the edge tree, unified on :class:`QueryAnswer`.
-
-        Delegates to the one shared traversal,
-        :func:`repro.index.query.query_tc_tree` — same item prune, same
-        Proposition 5.2 prune, same Figure 5 RN/VN accounting (a touched
-        child counts as visited even when the item prune discards it).
-        :class:`EdgeTCNode` guarantees every non-root node carries a
-        non-empty decomposition, so the traversal's ``truss_at`` access
-        is always safe here.
-        """
-        answer = query_tc_tree(self, pattern=pattern, alpha=alpha)
-        return EdgeQueryAnswer(
-            query_pattern=answer.query_pattern,
-            alpha=answer.alpha,
-            trusses=answer.trusses,
-            retrieved_nodes=answer.retrieved_nodes,
-            visited_nodes=answer.visited_nodes,
-        )
+    ) -> QueryAnswer:
+        """Algorithm 5 on the edge tree: the one shared walk,
+        :func:`repro.index.query.query_tc_tree`."""
+        return query_tc_tree(self, pattern=pattern, alpha=alpha)
 
     def query_communities(
         self,

@@ -58,25 +58,4 @@ class AnalysisError(ReproError):
 
 
 class TCIndexError(ReproError):
-    """Raised on invalid TC-Tree / warehouse operations.
-
-    Historically named ``IndexError_`` (trailing underscore to avoid
-    shadowing the built-in :class:`IndexError`); the old name remains
-    importable as a deprecated alias.
-    """
-
-
-def __getattr__(name: str):
-    if name == "IndexError_":
-        import warnings
-
-        warnings.warn(
-            "repro.errors.IndexError_ is deprecated; "
-            "use repro.errors.TCIndexError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TCIndexError
-    raise AttributeError(  # repro-lint: disable=error-taxonomy
-        f"module {__name__!r} has no attribute {name!r}"
-    )
+    """Raised on invalid TC-Tree / warehouse operations."""

@@ -6,7 +6,18 @@ A query is a pair ``(q, α_q)``: the answer is every non-empty
 - an item outside ``q`` prunes the whole subtree (no descendant pattern
   can be a sub-pattern of ``q``);
 - an empty ``C*_p(α_q)`` prunes the subtree (Proposition 5.2 — no
-  super-pattern can survive a threshold its sub-pattern failed).
+  super-pattern can survive a threshold its sub-pattern failed). The
+  node's precomputed prune-α decides this before anything is decoded.
+
+:func:`query_tc_tree` is the only implementation of this walk. It runs
+on any index with the per-node calls ``root``, ``children``, ``item``,
+``prune_alpha`` and ``decode``: the in-memory
+:class:`~repro.index.tctree.TCTree` (and so the edge tree), a
+:class:`~repro.serve.snapshot.TCTreeSnapshot`, or a serving generation
+of :class:`~repro.serve.engine.IndexedWarehouse`, whose ``decode`` goes
+through the carrier cache. Engine == tree therefore holds by
+construction; ``tests/index/test_query_reference.py`` checks the walk
+against an independent, traversal-free reference on every backend.
 
 The paper evaluates two modes (Figure 5): QBA fixes ``q = S`` and sweeps
 ``α_q``; QBP fixes ``α_q = 0`` and sweeps the query pattern length.
@@ -14,12 +25,15 @@ The paper evaluates two modes (Figure 5): QBA fixes ``q = S`` and sweeps
 
 from __future__ import annotations
 
+import math
+import time
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro._ordering import Pattern, make_pattern
 from repro.core.communities import ThemeCommunity, extract_theme_communities
+from repro.core.mptd import COHESION_TOLERANCE
 from repro.core.truss import PatternTruss
 from repro.errors import TCIndexError
 from repro.index.tctree import TCTree
@@ -39,6 +53,12 @@ class QueryAnswer:
     #: tree queries). Every truss in the answer comes from this one
     #: generation — the hot-swap tier's no-torn-reads witness.
     generation: int | None = None
+    #: Visited nodes skipped by the item prune and by the prune-α test
+    #: (Proposition 5.2), and the seconds spent decoding and rebuilding
+    #: the trusses of the rest — the engine's ``query_breakdown``.
+    pruned_pattern: int = field(default=0, init=False)
+    pruned_alpha: int = field(default=0, init=False)
+    decode_seconds: float = field(default=0.0, init=False, compare=False)
 
     @property
     def num_trusses(self) -> int:
@@ -88,26 +108,39 @@ def query_tc_tree(
     """Answer query ``(q, α_q)`` on a TC-Tree (Algorithm 5).
 
     ``pattern=None`` queries with ``q = S`` (every item allowed).
+    ``tree`` is any index with the per-node calls listed in the module
+    docstring. A node is pruned by Proposition 5.2 when its prune-α is
+    at most ``α + COHESION_TOLERANCE`` — the emptiness test of
+    ``edges_at`` — so only retrieved nodes are decoded.
     """
-    if alpha < 0.0:
-        raise TCIndexError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise TCIndexError(f"alpha must be finite and >= 0, got {alpha}")
     query_pattern = None if pattern is None else make_pattern(pattern)
     query_items = None if query_pattern is None else set(query_pattern)
     answer = QueryAnswer(query_pattern=query_pattern, alpha=alpha)
+    bound = alpha + COHESION_TOLERANCE
 
+    children, item, prune_alpha, decode = (
+        tree.children, tree.item, tree.prune_alpha, tree.decode
+    )
     queue = deque([tree.root])
     while queue:
-        node_f = queue.popleft()
-        for child in node_f.children:
-            # A touched node counts as visited even when the item prune
+        for child in children(queue.popleft()):
+            # A touched node counts as visited even when a prune
             # discards it — the Figure 5 RN/VN accounting measures nodes
             # touched, including pruned ones.
             answer.visited_nodes += 1
-            if query_items is not None and child.item not in query_items:
+            if query_items is not None and item(child) not in query_items:
+                answer.pruned_pattern += 1
                 continue  # prune subtree: s_{n_c} ∉ q
-            truss = child.decomposition.truss_at(alpha)  # type: ignore[union-attr]
-            if truss.is_empty():
+            if not prune_alpha(child) > bound:
+                answer.pruned_alpha += 1
                 continue  # prune subtree: Proposition 5.2
+            start = time.perf_counter()
+            truss = decode(child).truss_at(alpha)
+            answer.decode_seconds += time.perf_counter() - start
+            if truss.is_empty():
+                continue  # a snapshot whose TOC disagrees with its payload
             answer.trusses.append(truss)
             answer.retrieved_nodes += 1
             queue.append(child)

@@ -94,6 +94,26 @@ class TCTree:
                 return None
         return node if node is not self.root else None
 
+    # Per-node calls of the one Algorithm-5 walk
+    # (:func:`repro.index.query.query_tc_tree`), shared with
+    # :class:`~repro.serve.snapshot.TCTreeSnapshot`.
+    def children(self, node: TCNode) -> list[TCNode]:
+        return node.children
+
+    def item(self, node: TCNode) -> int:
+        return node.item  # type: ignore[return-value]
+
+    def prune_alpha(self, node: TCNode) -> float:
+        """Least α at which ``node`` answers empty, in O(1).
+
+        Levels ascend and each removes at least one edge, so this is
+        the last level's threshold, equal to ``prune_alpha_of``.
+        """
+        return node.decomposition.max_alpha  # type: ignore[union-attr]
+
+    def decode(self, node: TCNode) -> TrussDecomposition:
+        return node.decomposition  # type: ignore[return-value]
+
     def max_alpha(self) -> float:
         """The global non-trivial α range upper bound over all themes."""
         return max(

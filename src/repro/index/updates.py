@@ -210,10 +210,6 @@ def clone_tree(tree: TCTree) -> TCTree:
     return spec.make_tree(clone(tree.root), tree.num_items)
 
 
-# Back-compat alias (pre-delta name, vertex-only call sites).
-_clone_tree = clone_tree
-
-
 def _check_target(network, target) -> None:
     if isinstance(target, tuple):
         if not network.graph.has_edge(*target):

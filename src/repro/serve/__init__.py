@@ -8,11 +8,11 @@ this read-optimized serving path:
   demand, a JSON→binary migration path, and generation-stamped overlay
   deltas (``REPROTCD``) for incremental publication;
 - :mod:`repro.serve.engine` — :class:`IndexedWarehouse`, a lazy-decoding
-  query engine with an LRU carrier cache, offset-table subtree pruning,
-  batched execution, and top-k integration. Serving state is bundled
-  into immutable :class:`ServingGeneration` objects swapped atomically,
-  so readers never see a torn index. Answers are bit-identical to
-  :func:`repro.index.query.query_tc_tree` on the in-memory tree;
+  query engine with an LRU carrier cache, batched execution, and top-k
+  integration. Serving state is bundled into immutable
+  :class:`ServingGeneration` objects swapped atomically, so readers
+  never see a torn index. Every generation, snapshot or in-memory, is
+  queried by the one walk :func:`repro.index.query.query_tc_tree`;
 - :mod:`repro.serve.live` — :class:`LiveIndex`, the single writer that
   applies overlay deltas, compacts the chain back to a full snapshot,
   and optionally watches a directory for new overlays;

@@ -1,40 +1,38 @@
 """Lazy-loading warehouse query engine (:class:`IndexedWarehouse`).
 
 Answers ``(q, α)`` queries against a binary snapshot without ever
-materializing the whole tree: the traversal runs Algorithm 5 over the
-snapshot's table of contents, pruning item-disjoint subtrees and
-empty-truss subtrees (Proposition 5.2) from TOC data alone, and decodes a
-node's decomposition — through a thread-safe LRU carrier cache — only
-when the node is actually retrieved.
+materializing the whole tree, or against an in-memory tree published by
+the live tier. Both run the one Algorithm-5 walk,
+:func:`repro.index.query.query_tc_tree`, over the served
+:class:`ServingGeneration`: item-disjoint and empty-truss subtrees
+(Proposition 5.2) are pruned from each node's item and prune-α alone,
+and a snapshot node's decomposition is decoded — through a thread-safe
+LRU carrier cache — only when the node is actually retrieved.
 
-Answers are bit-identical to :func:`repro.index.query.query_tc_tree` on
-the in-memory tree: same trusses, same ``retrieved_nodes``, same
-``visited_nodes``. The emptiness prune compares the TOC's per-node
-``prune_alpha`` with ``α + COHESION_TOLERANCE`` — exactly the predicate
-:meth:`TrussDecomposition.edges_at` evaluates after a decode — so
-skipping the decode never changes the answer. A JSON warehouse document
-opens through the same API as the compatible fallback (fully decoded at
-load, as before).
+Answers equal ``query_tc_tree`` on the in-memory tree by construction:
+it is the same code. ``tests/index/test_query_reference.py`` checks the
+walk on every backend against an independent reference. A JSON
+warehouse document opens through the same API as the compatible
+fallback (fully decoded at load, as before).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from repro._ordering import make_pattern
 from repro.core.communities import ThemeCommunity
-from repro.core.mptd import COHESION_TOLERANCE
 from repro.errors import TCIndexError
 from repro.index.decomposition import TrussDecomposition
 from repro.index.query import QueryAnswer, query_tc_tree
 from repro.index.tctree import TCTree
 from repro.obs.metrics import default_registry
 from repro.search.topk import Score, default_score, top_k_communities
-from repro.serve.snapshot import ROOT, TCTreeSnapshot, is_snapshot_file
+from repro.serve.snapshot import TCTreeSnapshot, is_snapshot_file
 
 #: Default capacity of the decoded-carrier LRU cache, in nodes. Sized so
 #: a warm serving mix keeps every hot subtree decoded while a worst-case
@@ -119,9 +117,18 @@ class ServingGeneration:
     a generation reference sees a fully consistent world no matter how
     many times the engine hot-swaps underneath it, and cache entries can
     never leak across generations (each generation owns a fresh cache).
+
+    ``index`` is whichever backend was given. The generation answers the
+    per-node calls of :func:`~repro.index.query.query_tc_tree`, bound
+    once to ``index``, so the one walk serves both backends; only a
+    snapshot's ``decode`` goes through the carrier cache (a tree node
+    already holds its decomposition).
     """
 
-    __slots__ = ("number", "snapshot", "tree", "cache", "snapshot_bytes")
+    __slots__ = (
+        "number", "snapshot", "tree", "index", "cache", "snapshot_bytes",
+        "root", "children", "item", "prune_alpha", "decode",
+    )
 
     def __init__(
         self,
@@ -137,6 +144,13 @@ class ServingGeneration:
         self.number = number
         self.snapshot = snapshot
         self.tree = tree
+        index = snapshot if snapshot is not None else tree
+        self.index = index
+        self.root = index.root
+        self.children = index.children
+        self.item = index.item
+        self.prune_alpha = index.prune_alpha
+        self.decode = tree.decode if tree is not None else self._cached_decode
         self.cache = CarrierCache(cache_size)
         # Captured once: the file may be replaced or deleted while the
         # live mmap keeps serving, so /stats must not re-stat it.
@@ -152,9 +166,14 @@ class ServingGeneration:
 
     @property
     def kind(self) -> str:
-        if self.snapshot is not None:
-            return self.snapshot.kind
-        return getattr(self.tree, "kind", "vertex")
+        return getattr(self.index, "kind", "vertex")
+
+    def _cached_decode(self, node: int) -> TrussDecomposition:
+        cached = self.cache.get(node)
+        if cached is None:
+            cached = self.snapshot.decode(node)  # type: ignore[union-attr]
+            self.cache.put(node, cached)
+        return cached
 
     def close(self) -> None:
         if self.snapshot is not None:
@@ -195,12 +214,12 @@ class IndexedWarehouse:
             []
         )  # guarded-by: self._swap_lock
         self._swap_lock = threading.Lock()
-        self._queries_served = 0  # guarded-by: self._count_lock
         self._count_lock = threading.Lock()
-        # Aggregate per-query breakdown (snapshot backend): where query
-        # wall time goes — TOC walk + prunes vs payload decode — and the
-        # node-level traversal counters behind it. Cumulative across
-        # generations (it describes the engine, not one index).
+        # Aggregate per-query breakdown, over both backends: where query
+        # wall time goes — walk + prunes vs decode + truss rebuild — and
+        # the node-level traversal counters behind it. Cumulative across
+        # generations (it describes the engine, not one index); its
+        # ``queries`` is the engine's queries-served count.
         self._qstats = {  # guarded-by: self._count_lock
             "queries": 0,
             "visited_nodes": 0,
@@ -332,40 +351,18 @@ class IndexedWarehouse:
 
     @property
     def num_indexed_trusses(self) -> int:
-        generation = self._gen
-        if generation.snapshot is not None:
-            return generation.snapshot.num_nodes
-        return generation.tree.num_nodes  # type: ignore[union-attr]
+        return self._gen.index.num_nodes
 
     @property
     def num_items(self) -> int:
-        generation = self._gen
-        if generation.snapshot is not None:
-            return generation.snapshot.num_items
-        return generation.tree.num_items  # type: ignore[union-attr]
+        return self._gen.index.num_items
 
     def patterns(self) -> list:
-        generation = self._gen
-        if generation.snapshot is not None:
-            return generation.snapshot.patterns()
-        return generation.tree.patterns()  # type: ignore[union-attr]
+        return self._gen.index.patterns()
 
     def alpha_range(self) -> tuple[float, float]:
         """The non-trivial query range ``[0, α*)`` — TOC-only on snapshots."""
-        generation = self._gen
-        if generation.snapshot is not None:
-            snapshot = generation.snapshot
-            return (
-                0.0,
-                max(
-                    (
-                        snapshot.prune_alpha(i)
-                        for i in range(snapshot.num_nodes)
-                    ),
-                    default=0.0,
-                ),
-            )
-        return (0.0, generation.tree.max_alpha())  # type: ignore[union-attr]
+        return (0.0, self._gen.index.max_alpha())
 
     # ------------------------------------------------------------------
     def query(
@@ -373,28 +370,35 @@ class IndexedWarehouse:
         pattern: Iterable[int] | None = None,
         alpha: float = 0.0,
     ) -> QueryAnswer:
-        """Answer ``(q, α_q)`` — Algorithm 5 over the lazy backend."""
+        """Answer ``(q, α_q)`` — Algorithm 5 over the served generation."""
         # Captured exactly once: everything below reads this one
         # generation, so a concurrent swap cannot tear the answer.
         generation = self._gen
-        with self._count_lock:
-            self._queries_served += 1
         start = time.perf_counter()
         try:
-            if generation.tree is not None:
-                answer = query_tc_tree(
-                    generation.tree, pattern=pattern, alpha=alpha
-                )
-            else:
-                answer = self._query_snapshot(generation, pattern, alpha)
-            answer.generation = generation.number
-            return answer
+            answer = query_tc_tree(generation, pattern=pattern, alpha=alpha)
         finally:
+            total = time.perf_counter() - start
             default_registry().histogram(
                 "repro_query_seconds",
                 help="End-to-end warehouse query latency.",
                 backend=generation.backend,
-            ).observe(time.perf_counter() - start)
+            ).observe(total)
+        answer.generation = generation.number
+        with self._count_lock:
+            qstats = self._qstats
+            qstats["queries"] += 1
+            qstats["visited_nodes"] += answer.visited_nodes
+            qstats["pruned_pattern"] += answer.pruned_pattern
+            qstats["pruned_alpha"] += answer.pruned_alpha
+            qstats["retrieved_nodes"] += answer.retrieved_nodes
+            qstats["toc_seconds"] += total - answer.decode_seconds
+            qstats["decode_seconds"] += answer.decode_seconds
+        default_registry().histogram(
+            "repro_query_decode_seconds",
+            help="Decode and truss-rebuild share of query latency.",
+        ).observe(answer.decode_seconds)
+        return answer
 
     def query_batch(
         self, queries: Iterable[QuerySpec]
@@ -432,17 +436,11 @@ class IndexedWarehouse:
         decode — after a query retrieved the node, the carrier cache
         already holds its decomposition, so ranking reads are hits.
         """
-        key = make_pattern(pattern)
         generation = self._gen
-        if generation.snapshot is not None:
-            index = generation.snapshot.node_index(key)
-            if index is None:
-                return 0.0
-            return self._decomposition(generation, index).max_alpha
-        node = generation.tree.find_node(key)  # type: ignore[union-attr]
-        if node is None or node.decomposition is None:
+        node = generation.index.find_node(make_pattern(pattern))
+        if node is None:
             return 0.0
-        return node.decomposition.max_alpha
+        return generation.decode(node).max_alpha
 
     def search(
         self,
@@ -463,80 +461,6 @@ class IndexedWarehouse:
         )
 
     # ------------------------------------------------------------------
-    def _decomposition(
-        self, generation: ServingGeneration, index: int
-    ) -> TrussDecomposition:
-        cached = generation.cache.get(index)
-        if cached is not None:
-            return cached
-        decomposition = generation.snapshot.decode(index)  # type: ignore[union-attr]
-        generation.cache.put(index, decomposition)
-        return decomposition
-
-    def _query_snapshot(
-        self,
-        generation: ServingGeneration,
-        pattern: Iterable[int] | None,
-        alpha: float,
-    ) -> QueryAnswer:
-        if alpha < 0.0:
-            raise TCIndexError(f"alpha must be >= 0, got {alpha}")
-        snapshot = generation.snapshot
-        assert snapshot is not None
-        query_pattern = None if pattern is None else make_pattern(pattern)
-        query_items = (
-            None if query_pattern is None else set(query_pattern)
-        )
-        answer = QueryAnswer(query_pattern=query_pattern, alpha=alpha)
-        bound = alpha + COHESION_TOLERANCE
-
-        start = time.perf_counter()
-        decode_seconds = 0.0
-        pruned_pattern = pruned_alpha = 0
-        queue: deque[int] = deque([ROOT])
-        while queue:
-            node = queue.popleft()
-            for child in snapshot.children(node):
-                # Same RN/VN accounting as query_tc_tree: a touched child
-                # counts as visited even when a prune discards it.
-                answer.visited_nodes += 1
-                if (
-                    query_items is not None
-                    and snapshot.item(child) not in query_items
-                ):
-                    pruned_pattern += 1
-                    continue  # prune subtree: s_{n_c} ∉ q
-                if not snapshot.prune_alpha(child) > bound:
-                    # Proposition 5.2 prune straight from the offset
-                    # table: C*_p(α) reconstructs empty, so neither this
-                    # node nor any descendant needs decoding.
-                    pruned_alpha += 1
-                    continue
-                decode_start = time.perf_counter()
-                truss = self._decomposition(generation, child).truss_at(alpha)
-                decode_seconds += time.perf_counter() - decode_start
-                if truss.is_empty():
-                    continue  # unreachable on well-formed snapshots
-                answer.trusses.append(truss)
-                answer.retrieved_nodes += 1
-                queue.append(child)
-        total = time.perf_counter() - start
-        with self._count_lock:
-            qstats = self._qstats
-            qstats["queries"] += 1
-            qstats["visited_nodes"] += answer.visited_nodes
-            qstats["pruned_pattern"] += pruned_pattern
-            qstats["pruned_alpha"] += pruned_alpha
-            qstats["retrieved_nodes"] += answer.retrieved_nodes
-            qstats["toc_seconds"] += total - decode_seconds
-            qstats["decode_seconds"] += decode_seconds
-        default_registry().histogram(
-            "repro_query_decode_seconds",
-            help="Payload-decode share of snapshot query latency.",
-        ).observe(decode_seconds)
-        return answer
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Operational counters for the ``/stats`` endpoint."""
         from repro.engine import registry
@@ -544,7 +468,6 @@ class IndexedWarehouse:
         generation = self._gen
         with self._count_lock:
             breakdown = dict(self._qstats)
-            queries_served = self._queries_served
         info: dict = {
             "backend": generation.backend,
             "kind": generation.kind,
@@ -553,7 +476,7 @@ class IndexedWarehouse:
             "retired_generations": self.retired_generations,
             "indexed_trusses": self.num_indexed_trusses,
             "num_items": self.num_items,
-            "queries_served": queries_served,
+            "queries_served": breakdown["queries"],
             "cache": generation.cache.stats(),
             "query_breakdown": breakdown,
         }

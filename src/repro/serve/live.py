@@ -48,6 +48,20 @@ COMPACT_OVERLAY_THRESHOLD = 4
 WATCH_SUFFIX = ".tcdelta"
 
 
+def _record_publish(start: float) -> None:
+    """Count one publication and time it from ``start``; both publish
+    paths call this, so the counter and the histogram count agree."""
+    registry = default_registry()
+    registry.counter(
+        "repro_live_deltas_applied_total",
+        help="Overlay deltas applied and published by the live index.",
+    ).inc()
+    registry.histogram(
+        "repro_live_publish_seconds",
+        help="Delta apply-and-publish latency (staleness floor).",
+    ).observe(time.perf_counter() - start)
+
+
 class LiveIndex:
     """Single-writer delta ingestion over a hot-swappable engine."""
 
@@ -155,15 +169,7 @@ class LiveIndex:
                 self._overlays_since_compaction += 1
             self._tree = new_tree
             self._deltas_applied += 1
-        registry = default_registry()
-        registry.counter(
-            "repro_live_deltas_applied_total",
-            help="Overlay deltas applied and published by the live index.",
-        ).inc()
-        registry.histogram(
-            "repro_live_publish_seconds",
-            help="Delta apply-and-publish latency (staleness floor).",
-        ).observe(time.perf_counter() - start)
+        _record_publish(start)
         return {
             "generation": generation,
             "removed": delta.num_removed,
@@ -179,15 +185,13 @@ class LiveIndex:
         :func:`repro.index.updates.apply_deltas` — hands the result
         straight to the engine. Returns the new generation number.
         """
+        start = time.perf_counter()
         with self._lock:
             generation = self._engine.swap(tree=tree)
             self._tree = tree
             self._overlays_since_compaction += 1
             self._deltas_applied += 1
-        default_registry().counter(
-            "repro_live_deltas_applied_total",
-            help="Overlay deltas applied and published by the live index.",
-        ).inc()
+        _record_publish(start)
         return generation
 
     # ------------------------------------------------------------------

@@ -118,8 +118,8 @@ def _parse_float(params: dict, name: str, default: float) -> float:
 
 
 def _finite(value: float, name: str) -> float:
-    # NaN/Infinity would sail through the engine's `alpha < 0` guard and
-    # come back as bare `NaN` literals that strict JSON parsers reject.
+    # The engine rejects a non-finite alpha too; checking at parse time
+    # names the parameter and skips the engine, as for every bad value.
     if not math.isfinite(value):
         raise BadRequestError(f"{name} must be finite, got {value!r}")
     return value
@@ -488,7 +488,7 @@ class WarehouseRequestHandler(BaseHTTPRequestHandler):
                 info["indexed_trusses"],
             ),
             "# HELP repro_engine_query_nodes_total "
-            "Snapshot-query traversal outcomes, by node disposition.",
+            "Query traversal outcomes, by node disposition.",
             "# TYPE repro_engine_query_nodes_total counter",
         ]
         for outcome, field in (
@@ -507,7 +507,7 @@ class WarehouseRequestHandler(BaseHTTPRequestHandler):
         lines.extend(
             [
                 "# HELP repro_engine_query_phase_seconds_total "
-                "Snapshot-query wall time, split by phase.",
+                "Query wall time, split by phase.",
                 "# TYPE repro_engine_query_phase_seconds_total counter",
                 format_sample(
                     "repro_engine_query_phase_seconds_total",

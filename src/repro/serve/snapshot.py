@@ -497,6 +497,11 @@ class TCTreeSnapshot:
         self.close()
 
     # ------------------------------------------------------------------
+    # Per-node calls of the one Algorithm-5 walk
+    # (:func:`repro.index.query.query_tc_tree`), shared with the
+    # in-memory :class:`TCTree`; a node is its TOC index.
+    root = ROOT
+
     def children(self, index: int) -> list[int]:
         """Child node indices of ``index`` (:data:`ROOT` for layer 1)."""
         if index == ROOT:
@@ -516,6 +521,10 @@ class TCTreeSnapshot:
     def patterns(self) -> list[Pattern]:
         return sorted(self._patterns)
 
+    def max_alpha(self) -> float:
+        """The global non-trivial α range upper bound (TOC only)."""
+        return max(self.prune_alphas, default=0.0)
+
     def decode(self, index: int) -> TrussDecomposition:
         """Decode node ``index``'s decomposition from its payload slice.
 
@@ -528,7 +537,7 @@ class TCTreeSnapshot:
         blob = self._buffer[start: start + self.lengths[index]]
         return self._spec.decode_payload(self._patterns[index], blob)
 
-    def node_index(self, pattern: Pattern) -> int | None:
+    def find_node(self, pattern: Pattern) -> int | None:
         """TOC index of ``pattern``, or ``None`` if it is not a node.
 
         The pattern→index map is built lazily on first use — pure TOC

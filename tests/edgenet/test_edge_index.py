@@ -128,18 +128,6 @@ class TestEdgeTCTree:
         assert only_0.visited_nodes == 3
         assert only_0.retrieved_nodes == 1
 
-    def test_query_tuple_shape_is_deprecated_shim(self):
-        tree = build_edge_tc_tree(_toy_edge_network())
-        answer = tree.query(alpha=0.0)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            pairs = list(answer)
-        assert {p for p, _ in pairs} == {(0,), (1,), (9,)}
-        for _pattern, graph in answer.legacy_pairs():  # explicit: no warn
-            assert graph.num_edges > 0
-        with pytest.warns(DeprecationWarning):
-            first = answer[0]
-        assert first in answer.legacy_pairs()
-
     def test_node_requires_nonempty_decomposition(self):
         from repro.edgenet.decomposition import EdgeTrussDecomposition
         from repro.edgenet.index import EdgeTCNode

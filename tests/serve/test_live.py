@@ -10,6 +10,7 @@ from repro.datasets.synthetic import generate_synthetic_network
 from repro.errors import ServeError, TCIndexError
 from repro.index.tctree import build_tc_tree
 from repro.index.updates import Delta, apply_deltas
+from repro.obs.metrics import use_registry
 from repro.serve.engine import IndexedWarehouse
 from repro.serve.live import LiveIndex
 from repro.serve.snapshot import write_delta_snapshot, write_snapshot
@@ -102,6 +103,28 @@ class TestPublishTree:
         assert live.publish_tree(tree) == 2
         assert engine.generation == 2
         assert live.deltas_applied == 1
+
+
+class TestPublishMetrics:
+    def test_both_publish_paths_count_and_time_alike(self, chain):
+        """Every publication, by overlay or by tree, bumps the counter
+        and adds one publish-seconds sample, so the two always agree."""
+        engine, overlays = chain
+        with use_registry() as registry:
+            live = LiveIndex(engine)
+
+            def counts():
+                applied = registry.counters("repro_live_deltas_applied_total")
+                timed = registry.histograms("repro_live_publish_seconds")
+                return (
+                    sum(applied.values()),
+                    sum(h.count for h in timed.values()),
+                )
+
+            live.apply_delta(overlays[0])
+            assert counts() == (1, 1)
+            live.publish_tree(engine.materialize_tree())
+            assert counts() == (2, 2)
 
 
 class TestWatcher:

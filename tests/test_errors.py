@@ -1,4 +1,4 @@
-"""Exception-taxonomy contract: hierarchy and back-compat aliases."""
+"""Exception-taxonomy contract: hierarchy and module attributes."""
 
 import pytest
 
@@ -25,13 +25,6 @@ class TestTaxonomy:
 
 
 class TestIndexErrorRename:
-    def test_old_name_still_imports(self):
-        import repro.errors as errors
-
-        with pytest.warns(DeprecationWarning, match="TCIndexError"):
-            legacy = errors.IndexError_
-        assert legacy is TCIndexError
-
     def test_unknown_attribute_raises(self):
         import repro.errors as errors
 

@@ -2,7 +2,9 @@
 
 The model registry wires tuning sweeps and cutover constants through
 ``"pkg.mod:attr"`` strings (:class:`~repro.engine.registry.CutoverSpec`
-``value_ref=`` / ``sweep=``, plus literal ``resolve_ref(...)`` calls),
+``value_ref=`` / ``sweep=``, the build hooks of
+:class:`~repro.engine.registry.ModelSpec`, plus literal
+``resolve_ref(...)`` calls),
 and the benchmark fleet names drivers by module path in
 ``benchmarks/fleet.yaml``. A typo in any of them survives import and
 every unit test, then fails at tuner or fleet runtime. This rule
@@ -28,7 +30,9 @@ _REF_RE = re.compile(r"^[A-Za-z_][\w.]*:[A-Za-z_]\w*$")
 
 #: Call targets whose string keywords may carry dotted refs.
 _SPEC_CALLS = frozenset({"CutoverSpec", "ModelSpec"})
-_REF_KEYWORDS = frozenset({"value_ref", "sweep"})
+_REF_KEYWORDS = frozenset(
+    {"value_ref", "sweep", "decompose", "warm", "layer1_costs"}
+)
 
 
 @register

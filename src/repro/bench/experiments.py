@@ -215,12 +215,13 @@ def experiment_table3(
     datasets: Iterable[str] = ("BK", "GW", "AMINER", "SYN"),
     max_length: int | None = None,
     workers: int = 1,
-    backend: str = "thread",
+    backend: str = "serial",
 ) -> tuple[list[dict], str, dict[str, TCTree]]:
     """Regenerate Table 3: indexing time, peak memory, #nodes.
 
-    ``backend`` defaults to the in-process thread path so the peak-memory
-    column stays meaningful (see :func:`repro.bench.runner.run_indexing`).
+    ``backend`` defaults to the in-process serial build so the
+    peak-memory column stays meaningful (see
+    :func:`repro.bench.runner.run_indexing`).
     """
     rows: list[dict] = []
     trees: dict[str, TCTree] = {}

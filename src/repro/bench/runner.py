@@ -42,11 +42,11 @@ def run_indexing(
     network: DatabaseNetwork,
     max_length: int | None = None,
     workers: int = 1,
-    backend: str = "thread",
+    backend: str = "serial",
 ) -> tuple[MeasuredRun, TCTree]:
     """Build a TC-Tree, measuring time, peak memory, and #nodes (Table 3).
 
-    ``backend`` defaults to ``"thread"`` (not the library's ``"process"``
+    ``backend`` defaults to ``"serial"`` (not the library's ``"process"``
     default): tracemalloc cannot see child-process allocations, so the
     Table 3 peak-memory column is only meaningful for an in-process
     build. Pass ``backend="process"`` explicitly to time the pool —

@@ -628,9 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="parallel build workers (>1 enables the backend)")
     p.add_argument("--backend", default="process",
-                   choices=("process", "thread", "serial"),
-                   help="parallel backend for --workers > 1; processes "
-                        "scale with cores, threads are GIL-bound")
+                   choices=("process", "serial"),
+                   help="build backend; 'process' fans out when "
+                        "--workers > 1, 'serial' never does")
     p.add_argument("--format", default="json",
                    choices=("json", "snapshot"),
                    help="persistence format: json interchange document "
@@ -650,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="parallel build workers (>1 enables the backend)")
     p.add_argument("--backend", default="process",
-                   choices=("process", "thread", "serial", "legacy"),
+                   choices=("process", "serial", "legacy"),
                    help="build backend; 'legacy' is the dict-of-sets "
                         "parity oracle")
     p.add_argument("--trace", default=None, metavar="FILE",

@@ -6,8 +6,12 @@ shrinks the truss — both of which hold verbatim with per-edge frequencies.
 So an edge theme network's maximal pattern truss decomposes into the same
 ascending-threshold linked list ``L_p``, reconstructed by Equation 1.
 
-The container stores per-*edge* frequencies (the vertex model stores
-per-vertex ones); reconstruction yields plain graphs.
+:class:`EdgeTrussDecomposition` is therefore the vertex
+:class:`~repro.index.decomposition.TrussDecomposition` with per-*edge*
+frequencies; this module supplies only what the edge model changes: the
+frequency probe and routing of :func:`decompose_edge_network_pattern`,
+the per-vertex summary view of ``truss_at``, the
+:data:`EDGE_CSR_MIN_EDGES` cutover and the layer-1 planning helpers.
 
 Routing mirrors :mod:`repro.index.decomposition`: a CSR (or masked) carrier
 keeps the whole round trip on the flat engine — the edge theme network *is*
@@ -20,11 +24,9 @@ is preserved untouched as the parity oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 
 from repro._ordering import Pattern, make_pattern
-from repro.core.mptd import COHESION_TOLERANCE
 from repro.core.truss import PatternTruss
 from repro.edgenet.cohesion import edge_theme_cohesion_table
 from repro.edgenet.network import EdgeDatabaseNetwork
@@ -40,8 +42,9 @@ from repro.graphs.support import (
     triangle_index,
 )
 from repro.index.decomposition import (
-    CarrierProtocol,
+    DecompositionLevel,
     MaskedCarrier,
+    TrussDecomposition,
     _PendingProjection,
 )
 
@@ -61,70 +64,14 @@ CSR_NET_REUSE_MIN_EDGES = 1024
 EDGE_CSR_MIN_EDGES = 64
 
 
-@dataclass
-class EdgeDecompositionLevel:
-    """One linked-list node: threshold + the edges removed at it."""
+class EdgeTrussDecomposition(TrussDecomposition):
+    """``L_p`` for an edge theme network: ``frequencies`` maps canonical
+    edge pairs to ``f_e(p)``.
 
-    alpha: float
-    removed_edges: list[Edge]
-
-
-@dataclass
-class EdgeTrussDecomposition(CarrierProtocol):
-    """``L_p`` for an edge theme network.
-
-    Carries the same ``C*_p(0)`` capture/frontier/pickle protocol as the
-    vertex :class:`~repro.index.decomposition.TrussDecomposition`
-    (shared :class:`~repro.index.decomposition.CarrierProtocol`), so the
-    TC-Tree frontier and the process pool treat both models alike.
+    Levels, Equation 1, pickling and the TC-Tree carrier protocol are the
+    vertex model's; only the query-layer view and the engine cutover
+    differ.
     """
-
-    pattern: Pattern
-    levels: list[EdgeDecompositionLevel] = field(default_factory=list)
-    frequencies: EdgeFrequencyMap = field(default_factory=dict)
-    #: ``C*_p(0)`` captured by the CSR engine — same protocol as
-    #: :class:`repro.index.decomposition.TrussDecomposition.carrier0`:
-    #: a live CSR graph, a pending projection, or the canonical-sorted
-    #: alive edge list (the pickle exchange shape). Excluded from
-    #: equality and repr.
-    carrier0: CSRGraph | list[Edge] | _PendingProjection | None = field(
-        default=None, repr=False, compare=False
-    )
-    #: How this decomposition was computed (``"<graph choice>+<engine>"``,
-    #: e.g. ``"carrier-projected+csr"``). Diagnostic only.
-    route: str | None = field(default=None, repr=False, compare=False)
-
-    def is_empty(self) -> bool:
-        return not self.levels
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(level.removed_edges) for level in self.levels)
-
-    @property
-    def max_alpha(self) -> float:
-        if not self.levels:
-            return 0.0
-        return self.levels[-1].alpha
-
-    def thresholds(self) -> list[float]:
-        return [level.alpha for level in self.levels]
-
-    def edges_at(self, alpha: float) -> list[Edge]:
-        """Equation 1 with the shared cohesion tolerance."""
-        bound = alpha + COHESION_TOLERANCE
-        return [
-            edge
-            for level in self.levels
-            if level.alpha > bound
-            for edge in level.removed_edges
-        ]
-
-    def graph_at(self, alpha: float) -> Graph:
-        graph = Graph()
-        for u, v in self.edges_at(alpha):
-            graph.add_edge(u, v)
-        return graph
 
     def truss_at(self, alpha: float) -> PatternTruss:
         """``C*_p(α)`` as a :class:`PatternTruss` for the query layer.
@@ -144,16 +91,10 @@ class EdgeTrussDecomposition(CarrierProtocol):
                     view[v] = f
         return PatternTruss(self.pattern, graph, view, alpha)
 
-    # ------------------------------------------------------------------
-    # the shared TC-Tree frontier-carrier protocol (CarrierProtocol)
-    # ------------------------------------------------------------------
     def _engine_cutover(self) -> int:
         # Read at call time so tests patching the module constant (and
         # future tuning) take effect immediately.
         return EDGE_CSR_MIN_EDGES
-
-    def _graph0(self) -> Graph:
-        return self.graph_at(0.0)
 
 
 def decompose_edge_truss(
@@ -178,7 +119,7 @@ def decompose_edge_truss(
         before = set(cohesion)
         _peel(truss_graph, frequencies, beta, cohesion)
         removed = sorted(before - set(cohesion))
-        decomposition.levels.append(EdgeDecompositionLevel(beta, removed))
+        decomposition.levels.append(DecompositionLevel(beta, removed))
     return decomposition
 
 
@@ -228,7 +169,7 @@ def _decompose_edge_theme_csr(
     )
     for beta, removed in levels:
         decomposition.levels.append(
-            EdgeDecompositionLevel(
+            DecompositionLevel(
                 beta,
                 sorted(
                     (labels[edge_u[e]], labels[edge_v[e]]) for e in removed
@@ -422,6 +363,18 @@ def decompose_edge_network_pattern(
 decompose_edge_network_pattern = count_routes(
     "edge", decompose_edge_network_pattern
 )
+
+
+def edge_layer1_costs(
+    network: EdgeDatabaseNetwork, items: list[int]
+) -> dict[int, float]:
+    """Pre-layer-1 chunking cost proxy of the process-parallel build: the
+    theme network of ``{s}`` is exactly the edges whose database mentions
+    ``s``."""
+    return {
+        item: float(len(network.edges_containing_item(item)))
+        for item in items
+    }
 
 
 def warm_edge_network_triangles(

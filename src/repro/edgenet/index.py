@@ -7,28 +7,24 @@ computed inside parent-truss intersections, and empty decompositions prune
 whole subtrees (the anti-monotonicity arguments hold for per-edge
 frequencies).
 
-Construction rides the same engine as the vertex tree: frontier carriers
-are CSR graphs, sibling intersections stay unmaterialized
-:class:`~repro.index.decomposition.MaskedCarrier` pairs (Proposition 5.3
-as (base, mask)), each surviving child is **one** projection whose
-triangle index derives from the parent chain, and ``workers > 1`` fans
-layer-1 items plus whole enumeration subtrees across the shared process
-pool of :mod:`repro.index.parallel` (shared-memory carrier exchange
-included). ``backend="legacy"`` keeps the original dict-of-sets serial
-loop as the parity oracle.
+So the edge tree is built by the vertex tree's own build,
+:func:`repro.index.tctree.build_tc_tree`, serial or process-parallel: an
+:class:`~repro.edgenet.network.EdgeDatabaseNetwork` has ``kind = "edge"``,
+which selects the edge model's decompose hook and node/tree classes in
+the registry. This module adds the node and tree classes and
+``backend="legacy"``, the original dict-of-sets serial loop kept as the
+parity oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 
 from repro._ordering import EMPTY_PATTERN, Pattern
 from repro.edgenet.decomposition import (
     EdgeTrussDecomposition,
     decompose_edge_network_pattern,
-    warm_edge_network_triangles,
 )
 from repro.edgenet.network import EdgeDatabaseNetwork
 from repro.errors import TCIndexError
@@ -36,7 +32,7 @@ from repro.graphs.components import connected_components
 from repro.graphs.csr import GraphLike
 from repro.index.query import QueryAnswer, query_tc_tree
 from repro.index.tcnode import TCNode
-from repro.index.tctree import TCTree, _expand_frontier
+from repro.index.tctree import TCTree, build_tc_tree
 from repro.network.theme import intersect_graphs
 
 
@@ -44,8 +40,8 @@ class EdgeTCNode(TCNode):
     """One node of an edge TC-Tree.
 
     Structure, child ordering, and traversal come from :class:`TCNode`
-    (one shared implementation, same rationale as the decomposition
-    models' shared ``CarrierProtocol``). Additionally, non-root nodes
+    (one shared implementation, as the decomposition is one shared
+    class). Additionally, non-root nodes
     (``item is not None``) must carry a non-empty decomposition:
     Proposition 5.2 prunes empty subtrees at build time, so a node
     without one is structurally impossible — enforcing it here is what
@@ -136,22 +132,14 @@ def build_edge_tc_tree(
 ) -> EdgeTCTree:
     """Algorithm 4 over an edge database network.
 
-    Mirrors :func:`repro.index.tctree.build_tc_tree`: ``workers > 1``
-    with ``backend="process"`` (the default) fans layer-1 items and whole
-    enumeration subtrees across the shared process pool of
-    :mod:`repro.index.parallel` (adaptive chunking, compact pickles,
-    shared-memory carrier exchange); ``backend="thread"`` keeps a
-    GIL-bound thread pool over layer 1 only; ``backend="serial"`` forces
-    the single-process CSR path. ``backend="legacy"`` runs the original
-    dict-of-sets serial loop — the parity oracle every other backend must
-    reproduce (exact patterns and per-level edge sets, thresholds within
-    the cohesion tolerance). ``reuse`` optionally maps patterns to
-    decompositions known to still be valid (matching patterns skip
-    recomputation, same contract as the vertex build); the legacy oracle
-    rejects it — an oracle that skips work is no oracle.
+    Every backend but ``"legacy"`` is :func:`repro.index.tctree.build_tc_tree`
+    itself (``"process"`` fans out when ``workers > 1``, ``"serial"``
+    never does; ``reuse`` has the same contract). ``backend="legacy"``
+    runs the original dict-of-sets serial loop — the parity oracle every
+    other backend must reproduce (exact patterns and per-level edge sets,
+    thresholds within the cohesion tolerance); it rejects ``reuse``, as
+    an oracle that skips work is no oracle.
     """
-    if backend not in ("process", "thread", "serial", "legacy"):
-        raise TCIndexError(f"unknown build backend {backend!r}")
     if backend == "legacy":
         if reuse:
             raise TCIndexError(
@@ -159,54 +147,10 @@ def build_edge_tc_tree(
                 "reuse is not supported"
             )
         return _build_edge_tc_tree_legacy(network, max_length=max_length)
-    reuse = reuse or {}
-    items = network.item_universe()
-    if workers > 1 and len(items) > 1 and backend == "process":
-        from repro.index.parallel import build_tc_tree_process
-
-        return build_tc_tree_process(
-            network, max_length=max_length, workers=workers,
-            reuse=reuse, model="edge",
-        )
-
-    root = EdgeTCNode(None, EMPTY_PATTERN, None)
-    # One network-triangle enumeration, amortized across every layer-1
-    # theme subgraph that derives its index from it (projection path).
-    warm_edge_network_triangles(network, items)
-
-    def first_layer(item: int) -> EdgeTrussDecomposition:
-        cached = reuse.get((item,))
-        if cached is not None:
-            return cached
-        return decompose_edge_network_pattern(
-            network, (item,), capture_carrier=True
-        )
-
-    if workers > 1 and len(items) > 1 and backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decompositions = list(pool.map(first_layer, items))
-    else:
-        decompositions = [first_layer(item) for item in items]
-
-    truss_graphs: dict[int, GraphLike] = {}
-    queue: deque[EdgeTCNode] = deque()
-    for item, decomposition in zip(items, decompositions):
-        if decomposition.is_empty():
-            continue
-        node = EdgeTCNode(item, (item,), decomposition)
-        root.add_child(node)
-        queue.append(node)
-
-    parent_of: dict[int, EdgeTCNode] = {
-        id(child): root for child in root.children
-    }
-    _expand_frontier(
-        network, queue, truss_graphs, parent_of,  # type: ignore[arg-type]
-        max_length=max_length, reuse=reuse,
-        decompose=decompose_edge_network_pattern,
-        node_factory=EdgeTCNode,
+    return build_tc_tree(  # type: ignore[return-value]
+        network, max_length=max_length, workers=workers, reuse=reuse,
+        backend=backend,
     )
-    return EdgeTCTree(root, num_items=len(items))
 
 
 def _build_edge_tc_tree_legacy(

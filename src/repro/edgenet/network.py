@@ -19,6 +19,10 @@ from repro.txdb.database import TransactionDatabase
 class EdgeDatabaseNetwork:
     """An undirected graph whose edges carry transaction databases."""
 
+    #: Registered tree model this network builds (see
+    #: :func:`repro.index.tctree.build_tc_tree`).
+    kind = "edge"
+
     def __init__(
         self,
         graph: Graph | None = None,

@@ -14,7 +14,7 @@ from repro.engine.registry import (
     all_cutovers,
     count_routes,
     get_model,
-    model_for_snapshot,
+    model_for_flags,
     model_for_tree,
     model_names,
     observed_routes,
@@ -30,7 +30,7 @@ __all__ = [
     "all_cutovers",
     "count_routes",
     "get_model",
-    "model_for_snapshot",
+    "model_for_flags",
     "model_for_tree",
     "model_names",
     "observed_routes",

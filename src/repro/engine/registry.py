@@ -8,14 +8,12 @@ This module is the explicit interface those layers now share: a
 ``ModelSpec`` bundles everything the stack needs to know about one
 workload —
 
-- the decomposition entry point and carrier-protocol class (carrier0 /
-  route / take_carrier / frontier_carrier / ``__getstate__``
-  flattening),
-- the node/tree classes plus the build helpers the process-parallel
-  orchestrator dispatches through (layer-1 cost proxy, fork-time cache
-  warming, the serial parity build),
-- the snapshot payload kind — header version/flags and the
-  encode/decode/materialize hooks of :mod:`repro.serve.snapshot`,
+- the build hooks one TC-Tree build loop calls — decompose a pattern,
+  warm the network's triangle index, estimate layer-1 costs — as
+  ``"pkg.mod:attr"`` references resolved at call time,
+- the decomposition, node and tree classes,
+- the snapshot payload kind — header version and flags, and the
+  ``key_width`` of its frequency keys (one codec serves every model),
 - the engine cutover constants (:class:`CutoverSpec`) the tuner sweeps,
 - the parity oracle backend the fast path is tested against.
 
@@ -109,26 +107,27 @@ class ModelSpec:
     cutovers: tuple[CutoverSpec, ...] = ()
 
     # -- tree build API (tree models only) -----------------------------
-    decompose: Callable | None = None
-    #: The carrier-protocol decomposition class (carrier0/route/
-    #: take_carrier/frontier_carrier/__getstate__ flattening).
+    #: ``"pkg.mod:attr"`` references to the build hooks, resolved by
+    #: :meth:`hook` at each build (like :attr:`CutoverSpec.value_ref`),
+    #: so whatever the module attribute is bound to then is what runs:
+    #: ``decompose(network, pattern, carrier=, capture_carrier=)``,
+    #: ``warm(network, items)`` (pre-enumerate the network triangles)
+    #: and ``layer1_costs(network, items)`` (chunking cost proxy).
+    decompose: str | None = None
+    warm: str | None = None
+    layer1_costs: str | None = None
+    #: The :class:`~repro.index.decomposition.TrussDecomposition` class
+    #: this model builds and its snapshot payloads decode into.
     decomposition_cls: type | None = None
     node_cls: type | None = None
     make_tree: Callable | None = None
-    layer1_costs: Callable | None = None
-    warm: Callable | None = None
-    serial_build: Callable | None = None
 
     # -- snapshot payload kind (tree models only) ----------------------
     snapshot_version: int | None = None
     snapshot_flags: int = 0
-    #: Bytes one frequency entry costs in the payload (size estimator).
-    frequency_entry_bytes: int = 16
-    encode_payload: Callable | None = None
-    decode_payload: Callable | None = None
-    #: ``(snapshot) -> tree`` — decode every node into the in-memory
-    #: tree class of this model.
-    materialize: Callable | None = None
+    #: int64 columns of one payload frequency key: 1 for a vertex, 2
+    #: for an edge's canonical endpoint pair.
+    key_width: int = 1
 
     # -- workload entry point (non-tree models) ------------------------
     entry: Callable | None = None
@@ -141,12 +140,10 @@ class ModelSpec:
     def has_snapshot(self) -> bool:
         return self.snapshot_version is not None
 
-    def matches_snapshot(self, version: int, flags: int) -> bool:
-        """Does a snapshot header ``(version, flags)`` carry this kind?"""
-        return (
-            self.snapshot_version == version
-            and (flags & self.snapshot_flags) == self.snapshot_flags
-        )
+    def hook(self, name: str) -> Callable:
+        """The build hook ``name`` (``"decompose"``, ``"warm"``,
+        ``"layer1_costs"``) as its module binds it now."""
+        return resolve_ref(getattr(self, name))
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +225,17 @@ def model_for_tree(tree) -> ModelSpec:
     return get_model(getattr(tree, "kind", "vertex"))
 
 
-def model_for_snapshot(version: int, flags: int) -> ModelSpec | None:
-    """The tree model whose payload kind a snapshot header declares."""
+def model_for_flags(flags: int) -> ModelSpec:
+    """The tree model whose payload kind a snapshot header's flags name.
+
+    The match is exact: a flag bit no model declares is a payload this
+    build cannot decode, so the header is refused, not half-read.
+    """
     for name in tree_model_names():
         spec = get_model(name)
-        if spec.has_snapshot and spec.matches_snapshot(version, flags):
+        if spec.has_snapshot and spec.snapshot_flags == flags:
             return spec
-    return None
+    raise TCIndexError(f"unsupported snapshot payload flags {flags:#x}")
 
 
 def all_cutovers() -> list[tuple[ModelSpec, CutoverSpec]]:
@@ -333,40 +334,25 @@ def observed_routes(model: str) -> dict[str, float]:
 
 
 def _vertex_spec() -> ModelSpec:
-    from repro.index.decomposition import (
-        TrussDecomposition,
-        decompose_network_pattern,
-    )
-    from repro.index.parallel import _layer1_costs, _warm_shared_caches
+    from repro.index.decomposition import TrussDecomposition
     from repro.index.tcnode import TCNode
-    from repro.index.tctree import TCTree, build_tc_tree
-    from repro.serve.snapshot import (
-        VERSION,
-        _decode_payload,
-        _encode_payload,
-    )
+    from repro.index.tctree import TCTree
+    from repro.serve.snapshot import VERSION
 
     return ModelSpec(
         name="vertex",
         display="TC-Tree",
         description="vertex database networks (Chu et al., Algorithm 4)",
         oracle="serial",
-        decompose=decompose_network_pattern,
+        decompose="repro.index.decomposition:decompose_network_pattern",
+        warm="repro.index.decomposition:warm_network_triangles",
+        layer1_costs="repro.index.parallel:layer1_costs",
         decomposition_cls=TrussDecomposition,
         node_cls=TCNode,
         make_tree=lambda root, num_items: TCTree(root, num_items=num_items),
-        layer1_costs=_layer1_costs,
-        warm=_warm_shared_caches,
-        serial_build=lambda network, max_length, reuse: build_tc_tree(
-            network, max_length=max_length, workers=1, reuse=reuse,
-            backend="serial",
-        ),
         snapshot_version=VERSION,
         snapshot_flags=0,
-        frequency_entry_bytes=16,
-        encode_payload=_encode_payload,
-        decode_payload=_decode_payload,
-        materialize=lambda snapshot: snapshot.materialize().tree,
+        key_width=1,
         cutovers=(
             CutoverSpec(
                 name="CSR_MIN_EDGES",
@@ -398,58 +384,27 @@ def _vertex_spec() -> ModelSpec:
 
 
 def _edge_spec() -> ModelSpec:
-    from repro.edgenet.decomposition import (
-        EdgeTrussDecomposition,
-        decompose_edge_network_pattern,
-        warm_edge_network_triangles,
-    )
-    from repro.edgenet.index import (
-        EdgeTCNode,
-        EdgeTCTree,
-        build_edge_tc_tree,
-    )
-    from repro.serve.snapshot import (
-        EDGE_VERSION,
-        FLAG_EDGE,
-        _decode_edge_payload,
-        _encode_edge_payload,
-    )
-
-    def edge_warm(network, items) -> None:
-        network.csr_graph()
-        warm_edge_network_triangles(network, items)
-
-    def edge_costs(network, items) -> dict[int, float]:
-        # Pre-layer-1 proxy: the theme network of {s} is exactly the
-        # edges whose database mentions s.
-        return {
-            item: float(len(network.edges_containing_item(item)))
-            for item in items
-        }
+    from repro.edgenet.decomposition import EdgeTrussDecomposition
+    from repro.edgenet.index import EdgeTCNode, EdgeTCTree
+    from repro.serve.snapshot import EDGE_VERSION, FLAG_EDGE
 
     return ModelSpec(
         name="edge",
         display="Edge TC-Tree",
         description="edge database networks (per-edge frequencies)",
         oracle="legacy",
-        decompose=decompose_edge_network_pattern,
+        decompose="repro.edgenet.decomposition:"
+                  "decompose_edge_network_pattern",
+        warm="repro.edgenet.decomposition:warm_edge_network_triangles",
+        layer1_costs="repro.edgenet.decomposition:edge_layer1_costs",
         decomposition_cls=EdgeTrussDecomposition,
         node_cls=EdgeTCNode,
         make_tree=lambda root, num_items: EdgeTCTree(
             root, num_items=num_items
         ),
-        layer1_costs=edge_costs,
-        warm=edge_warm,
-        serial_build=lambda network, max_length, reuse: build_edge_tc_tree(
-            network, max_length=max_length, workers=1, backend="serial",
-            reuse=reuse,
-        ),
         snapshot_version=EDGE_VERSION,
         snapshot_flags=FLAG_EDGE,
-        frequency_entry_bytes=24,
-        encode_payload=_encode_edge_payload,
-        decode_payload=_decode_edge_payload,
-        materialize=lambda snapshot: snapshot.materialize_edge_tree(),
+        key_width=2,
         cutovers=(
             CutoverSpec(
                 name="EDGE_CSR_MIN_EDGES",
@@ -510,7 +465,7 @@ __all__ = [
     "get_model",
     "observed_routes",
     "record_route",
-    "model_for_snapshot",
+    "model_for_flags",
     "model_for_tree",
     "model_names",
     "register_model",

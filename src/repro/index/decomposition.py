@@ -145,101 +145,23 @@ class _PendingProjection:
         ]
 
 
-class CarrierProtocol:
-    """Shared ``C*_p(0)`` carrier lifecycle of both decomposition models.
-
-    The vertex :class:`TrussDecomposition` and the edge
-    :class:`~repro.edgenet.decomposition.EdgeTrussDecomposition` exchange
-    carriers with the TC-Tree frontier and the process pool identically:
-    a captured carrier materializes lazily (:meth:`take_carrier`), the
-    frontier picks a size-appropriate representation
-    (:meth:`frontier_carrier`), and pickling flattens a live CSR capture
-    to its canonical edge list (:meth:`__getstate__`). Keeping the
-    protocol in one place means a lifecycle fix cannot silently diverge
-    between the models. Subclasses supply the engine cutover and the
-    adjacency-set fallback; they must define ``carrier0``, ``num_edges``,
-    and ``edges_at``.
-    """
-
-    def _engine_cutover(self) -> int:
-        """Edge count below which carriers stay adjacency-set graphs."""
-        raise NotImplementedError
-
-    def _graph0(self) -> Graph:
-        """``C*_p(0)`` as an adjacency-set graph (the small fallback)."""
-        raise NotImplementedError
-
-    def csr_at(self, alpha: float) -> CSRGraph | None:
-        """``C*_p(α)`` as a CSR carrier, or None for unsortable labels.
-
-        This is what the TC-Tree keeps per frontier node so sibling
-        intersections are array merges rather than set intersections.
-        """
-        try:
-            return CSRGraph.from_edges(self.edges_at(alpha))
-        except GraphError:
-            return None
-
-    def take_carrier(self) -> CSRGraph | None:
-        """Hand over the captured ``C*_p(0)`` carrier (cleared on take).
-
-        The TC-Tree frees frontier carriers once a node's children are
-        built; clearing here keeps steady-state memory at the sum of the
-        ``L_p`` lists, as in the paper.
-        """
-        carrier = self.carrier0
-        self.carrier0 = None
-        if carrier is None or isinstance(carrier, CSRGraph):
-            return carrier
-        if isinstance(carrier, _PendingProjection):
-            return carrier.materialize()
-        return CSRGraph._from_canonical_edges(carrier)
-
-    def frontier_carrier(self) -> "Graph | CSRGraph":
-        """``C*_p(0)`` in the representation the TC-Tree should keep.
-
-        Prefers the carrier captured by the CSR engine; tiny trusses
-        (below the engine cutover) stay as adjacency-set graphs — CSR
-        construction overhead dwarfs any merge win at that size — and
-        anything larger is rebuilt in CSR form from the levels.
-        """
-        carrier = self.take_carrier()
-        if carrier is not None:
-            return carrier
-        if self.num_edges < self._engine_cutover():
-            return self._graph0()
-        csr = self.csr_at(0.0)
-        if csr is not None:
-            return csr
-        return self._graph0()
-
-    def __getstate__(self):
-        """Pickle protocol of the process-parallel build: flatten a live
-        CSR ``carrier0`` to its canonical edge list so workers ship
-        levels + frequencies + flat edges, never CSR objects (the receiver
-        rebuilds lazily via :meth:`take_carrier`).
-
-        The flat list duplicates edges the levels already carry, but
-        deliberately so: on the fork path the parent receives it once
-        (phase A result) and every subtree worker then inherits it
-        copy-on-write, where dropping it would cost each worker an
-        O(m log m) from-levels rebuild per sibling carrier it touches.
-        """
-        state = self.__dict__.copy()
-        carrier = state.get("carrier0")
-        if isinstance(carrier, (CSRGraph, _PendingProjection)):
-            state["carrier0"] = carrier.edges()
-        return state
-
-
 @dataclass
-class TrussDecomposition(CarrierProtocol):
+class TrussDecomposition:
     """The linked list ``L_p`` plus the data needed to rebuild trusses.
 
     ``levels[k]`` holds ``(α_{k+1}, R_p(α_{k+1}))`` in ascending threshold
     order. ``frequencies`` are the pattern frequencies of the vertices of
     ``C*_p(0)`` (needed to materialize :class:`PatternTruss` objects and to
     continue decomposing on updates).
+
+    The edge model's
+    :class:`~repro.edgenet.decomposition.EdgeTrussDecomposition` is this
+    class with ``frequencies`` keyed by canonical edge pairs: levels,
+    Equation 1 and the ``C*_p(0)`` carrier protocol are shared. A
+    captured carrier materializes lazily (:meth:`take_carrier`), the
+    TC-Tree frontier picks a size-appropriate representation
+    (:meth:`frontier_carrier`), and pickling flattens a live CSR capture
+    to its canonical edge list (:meth:`__getstate__`).
     """
 
     pattern: Pattern
@@ -296,24 +218,93 @@ class TrussDecomposition(CarrierProtocol):
                 edges.extend(level.removed_edges)
         return edges
 
-    def truss_at(self, alpha: float) -> PatternTruss:
-        """Materialize ``C*_p(α)`` as a :class:`PatternTruss`."""
+    def graph_at(self, alpha: float) -> Graph:
+        """``C*_p(α)`` as an adjacency-set graph."""
         graph = Graph()
         for u, v in self.edges_at(alpha):
             graph.add_edge(u, v)
-        return PatternTruss(self.pattern, graph, self.frequencies, alpha)
+        return graph
 
+    def truss_at(self, alpha: float) -> PatternTruss:
+        """Materialize ``C*_p(α)`` as a :class:`PatternTruss`."""
+        return PatternTruss(
+            self.pattern, self.graph_at(alpha), self.frequencies, alpha
+        )
+
+    # ------------------------------------------------------------------
+    # the TC-Tree frontier-carrier protocol
+    # ------------------------------------------------------------------
     def _engine_cutover(self) -> int:
+        """Edge count below which carriers stay adjacency-set graphs."""
         # Read the module global at call time so tests (and tuning) that
         # patch ``decomposition.CSR_MIN_EDGES`` take effect immediately.
         return CSR_MIN_EDGES
 
-    def _graph0(self) -> Graph:
-        return self.truss_at(0.0).graph
+    def csr_at(self, alpha: float) -> CSRGraph | None:
+        """``C*_p(α)`` as a CSR carrier, or None for unsortable labels.
+
+        This is what the TC-Tree keeps per frontier node so sibling
+        intersections are array merges rather than set intersections.
+        """
+        try:
+            return CSRGraph.from_edges(self.edges_at(alpha))
+        except GraphError:
+            return None
+
+    def take_carrier(self) -> CSRGraph | None:
+        """Hand over the captured ``C*_p(0)`` carrier (cleared on take).
+
+        The TC-Tree frees frontier carriers once a node's children are
+        built; clearing here keeps steady-state memory at the sum of the
+        ``L_p`` lists, as in the paper.
+        """
+        carrier = self.carrier0
+        self.carrier0 = None
+        if carrier is None or isinstance(carrier, CSRGraph):
+            return carrier
+        if isinstance(carrier, _PendingProjection):
+            return carrier.materialize()
+        return CSRGraph._from_canonical_edges(carrier)
+
+    def frontier_carrier(self) -> "Graph | CSRGraph":
+        """``C*_p(0)`` in the representation the TC-Tree should keep.
+
+        Prefers the carrier captured by the CSR engine; tiny trusses
+        (below the engine cutover) stay as adjacency-set graphs — CSR
+        construction overhead dwarfs any merge win at that size — and
+        anything larger is rebuilt in CSR form from the levels.
+        """
+        carrier = self.take_carrier()
+        if carrier is not None:
+            return carrier
+        if self.num_edges < self._engine_cutover():
+            return self.graph_at(0.0)
+        csr = self.csr_at(0.0)
+        if csr is not None:
+            return csr
+        return self.graph_at(0.0)
+
+    def __getstate__(self):
+        """Pickle protocol of the process-parallel build: flatten a live
+        CSR ``carrier0`` to its canonical edge list so workers ship
+        levels + frequencies + flat edges, never CSR objects (the receiver
+        rebuilds lazily via :meth:`take_carrier`).
+
+        The flat list duplicates edges the levels already carry, but
+        deliberately so: on the fork path the parent receives it once
+        (phase A result) and every subtree worker then inherits it
+        copy-on-write, where dropping it would cost each worker an
+        O(m log m) from-levels rebuild per sibling carrier it touches.
+        """
+        state = self.__dict__.copy()
+        carrier = state.get("carrier0")
+        if isinstance(carrier, (CSRGraph, _PendingProjection)):
+            state["carrier0"] = carrier.edges()
+        return state
 
     def __repr__(self) -> str:
         return (
-            f"TrussDecomposition(pattern={self.pattern}, "
+            f"{type(self).__name__}(pattern={self.pattern}, "
             f"levels={len(self.levels)}, edges={self.num_edges})"
         )
 

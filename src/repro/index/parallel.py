@@ -60,20 +60,20 @@ from heapq import heapify, heappop, heappush
 
 from repro._ordering import EMPTY_PATTERN, Pattern
 from repro.engine.registry import get_model
-from repro.errors import TCIndexError
 from repro.graphs.csr import CSRGraph, GraphLike
-from repro.index.decomposition import (
-    TrussDecomposition,
-    decompose_network_pattern,
-    warm_network_triangles,
-)
+from repro.index.decomposition import TrussDecomposition
 from repro.index.shm import (
     HAS_SHARED_MEMORY,
     SharedCarrierStore,
     unlink_handle,
 )
 from repro.index.tcnode import TCNode
-from repro.index.tctree import TCTree, _carrier_of, _expand_frontier
+from repro.index.tctree import (
+    TCTree,
+    _carrier_of,
+    _expand_frontier,
+    build_tc_tree,
+)
 from repro.network.dbnetwork import DatabaseNetwork
 from repro.obs.metrics import MetricsSnapshot, default_registry
 from repro.obs.trace import span
@@ -86,11 +86,8 @@ CHUNKS_PER_WORKER = 4
 # The orchestrator and the worker task functions are model-agnostic —
 # everything tree-model-specific (how to decompose a pattern, which
 # node/tree classes to build, how to estimate layer-1 costs, what to
-# pre-warm before forking) resolves through repro.engine.registry. The
-# registry resolves model factories lazily, which preserves the import
-# discipline the old local dict encoded by hand: repro.edgenet.index
-# itself calls into this module, so the edge spec must not be imported
-# until a build actually asks for it.
+# pre-warm before forking) resolves through repro.engine.registry by the
+# network's ``kind``.
 
 # ---------------------------------------------------------------------------
 # adaptive chunking
@@ -129,7 +126,7 @@ def adaptive_chunks(
     return chunks
 
 
-def _layer1_costs(network: DatabaseNetwork, items: list[int]) -> dict[int, float]:
+def layer1_costs(network: DatabaseNetwork, items: list[int]) -> dict[int, float]:
     """Pre-layer-1 cost proxy: degree mass of the item's supporting vertices.
 
     ``C*_s(0)`` is unknown before phase A runs, but it lives inside the
@@ -212,9 +209,7 @@ def _layer1_chunk(
     items, segment_name = task
     before = _metrics_before()
     network = _WORKER_STATE["network"]  # repro-lint: disable=lock-discipline
-    decompose = get_model(
-        _WORKER_STATE.get("model", "vertex")  # repro-lint: disable=lock-discipline
-    ).decompose
+    decompose = get_model(network.kind).hook("decompose")
     decompositions = [
         decompose(network, (item,), capture_carrier=True)
         for item in items
@@ -287,9 +282,6 @@ def _subtree_chunk(
         for pattern, decomposition in _WORKER_STATE["reuse"].items()
         if pattern[0] in members
     }
-    spec = get_model(
-        _WORKER_STATE.get("model", "vertex")  # repro-lint: disable=lock-discipline
-    )
     try:
         built = build_subtree_chunk(
             _WORKER_STATE["network"],  # repro-lint: disable=lock-discipline
@@ -298,8 +290,6 @@ def _subtree_chunk(
             max_length=max_length,
             reuse=reuse,
             carrier_cache=_WORKER_CARRIERS,
-            decompose=spec.decompose,
-            node_factory=spec.node_cls,
         )
         return built, _metrics_delta(before)
     finally:
@@ -313,8 +303,6 @@ def build_subtree_chunk(
     max_length: int | None = None,
     reuse: dict[Pattern, TrussDecomposition] | None = None,
     carrier_cache: dict[int, GraphLike] | None = None,
-    decompose=decompose_network_pattern,
-    node_factory=TCNode,
 ) -> list[TCNode]:
     """Build the enumeration subtree rooted at each item of ``roots``.
 
@@ -327,8 +315,12 @@ def build_subtree_chunk(
     one worker process.
 
     Returns the layer-1 :class:`TCNode` of each root (in ascending item
-    order) with its completed subtree attached.
+    order) with its completed subtree attached; the node class and the
+    decompose hook come from the registered model of ``network.kind``.
     """
+    spec = get_model(network.kind)
+    decompose = spec.hook("decompose")
+    node_factory = spec.node_cls
     items = sorted(layer1)
     root = node_factory(None, EMPTY_PATTERN, None)
     nodes: dict[int, TCNode] = {}
@@ -439,27 +431,12 @@ class _worker_pool:
                 _STATE_LOCK.release()
 
 
-def _warm_shared_caches(network: DatabaseNetwork, items: list[int]) -> None:
-    """Build the caches forked workers should inherit instead of redoing.
-
-    The network CSR is always warmed (the ``csr_graph()`` call caches
-    it); its triangle index is warmed by the shared
-    :func:`~repro.index.decomposition.warm_network_triangles` predicate —
-    with projection on, any layer-1 theme subgraph that projects off the
-    network CSR derives its index from the inherited one, so no worker
-    re-enumerates the same triangles.
-    """
-    network.csr_graph()
-    warm_network_triangles(network, items)
-
-
 def build_tc_tree_process(
     network: DatabaseNetwork,
     max_length: int | None = None,
     workers: int = 2,
     reuse: dict[Pattern, TrussDecomposition] | None = None,
     share_carriers: bool | None = None,
-    model: str = "vertex",
 ) -> TCTree:
     """Build the TC-Tree with a process pool (two fan-out phases).
 
@@ -478,19 +455,12 @@ def build_tc_tree_process(
     zero-copy. The orchestrator unlinks every segment when the build
     finishes, success or not.
 
-    ``model`` names a registered tree model: ``"vertex"`` (the default —
-    vertex database networks, :class:`TCTree`) or ``"edge"`` (edge
-    database networks, :class:`~repro.edgenet.index.EdgeTCTree`). Both
-    ride the same chunking, pool, carrier-memo, and shared-memory
-    machinery; the decompose call and node/tree classes resolve through
-    :func:`repro.engine.registry.get_model`.
+    Vertex and edge database networks ride the same chunking, pool,
+    carrier-memo and shared-memory machinery; the build hooks and the
+    node/tree classes resolve through :func:`repro.engine.registry.get_model`
+    by ``network.kind``.
     """
-    spec = get_model(model)
-    if not spec.is_tree_model:
-        raise TCIndexError(
-            f"model {model!r} is not a tree model; "
-            "it cannot drive a TC-Tree build"
-        )
+    spec = get_model(network.kind)
     items = network.item_universe()
     reuse = reuse or {}
     # POSIX-only default: on Windows a named segment is destroyed when
@@ -502,12 +472,16 @@ def build_tc_tree_process(
     else:
         share_carriers = bool(share_carriers) and shm_usable
     if workers <= 1 or len(items) < 2:
-        return spec.serial_build(network, max_length, reuse)
+        return build_tc_tree(
+            network, max_length=max_length, reuse=reuse, backend="serial"
+        )
 
     ctx = _pool_context()
     if ctx.get_start_method() == "fork":
+        # Warm the caches forked workers inherit instead of redoing: the
+        # network CSR and, where layer 1 amortizes it, its triangle index.
         with span("build.warm_triangles", items=len(items)):
-            spec.warm(network, items)
+            spec.hook("warm")(network, items)
     if share_carriers:
         # Start the resource tracker in the parent *before* the pool
         # forks: workers then inherit it and their segment registrations
@@ -531,7 +505,7 @@ def build_tc_tree_process(
         todo = [item for item in items if item not in layer1]
         if todo:
             chunks = adaptive_chunks(
-                todo, spec.layer1_costs(network, todo), workers
+                todo, spec.hook("layer1_costs")(network, todo), workers
             )
             # Exporting carriers only pays off when phase B will attach
             # them — with max_length=1 there are no children to build.
@@ -546,7 +520,7 @@ def build_tc_tree_process(
                 tasks = list(zip(chunks, segment_names))
             else:
                 tasks = [(chunk, None) for chunk in chunks]
-            state = {"network": network, "model": model}
+            state = {"network": network}
             with span(
                 "build.phaseA", chunks=len(chunks), items=len(todo)
             ), _worker_pool(
@@ -593,7 +567,6 @@ def build_tc_tree_process(
                 "layer1": layer1,
                 "reuse": deep_reuse,
                 "carrier_handles": carrier_handles,
-                "model": model,
             }
             tasks = [(chunk, max_length) for chunk in chunks]
             with span(

@@ -15,9 +15,16 @@ every materialized node stores the decomposed maximal pattern truss
 ``workers > 1`` selects a parallel build: ``backend="process"`` (the
 default) fans layer-1 items and whole enumeration subtrees across a
 process pool (:mod:`repro.index.parallel` — real speedup on a GIL-bound
-engine), while ``backend="thread"`` keeps the historical thread pool over
-layer 1 only. The serial path is the parity oracle: both parallel
-backends must reproduce its tree exactly.
+engine). The serial path is the parity oracle: the process build must
+reproduce its tree exactly.
+
+One build serves every registered tree model. The network's ``kind``
+(``"vertex"`` for :class:`~repro.network.dbnetwork.DatabaseNetwork`,
+``"edge"`` for :class:`~repro.edgenet.network.EdgeDatabaseNetwork`)
+picks its :class:`~repro.engine.registry.ModelSpec`, which supplies what
+the model changes — the decompose call (frequency probe and routing),
+the triangle warm-up, and the node and tree classes. Everything else
+(layer 1, sibling pairing, carrier lifecycle) is this module's.
 
 During the build each frontier node keeps its ``C*_p(0)`` carrier alive
 for the intersection step; the carriers are released once the node's
@@ -32,17 +39,12 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 
 from repro._ordering import EMPTY_PATTERN, Pattern
+from repro.engine.registry import get_model
 from repro.errors import TCIndexError
 from repro.graphs.csr import CSRGraph, GraphLike
-from repro.index.decomposition import (
-    MaskedCarrier,
-    TrussDecomposition,
-    decompose_network_pattern,
-    warm_network_triangles,
-)
+from repro.index.decomposition import MaskedCarrier, TrussDecomposition
 from repro.index.tcnode import TCNode
 from repro.network.dbnetwork import DatabaseNetwork
 from repro.network.theme import intersect_graphs
@@ -142,10 +144,10 @@ def _expand_frontier(
     queue: deque[TCNode],
     truss_graphs: dict[int, GraphLike],
     parent_of: dict[int, TCNode],
-    max_length: int | None = None,
-    reuse: dict[Pattern, TrussDecomposition] | None = None,
-    decompose=decompose_network_pattern,
-    node_factory=TCNode,
+    max_length: int | None,
+    reuse: dict[Pattern, TrussDecomposition] | None,
+    decompose,
+    node_factory,
 ) -> None:
     """Run the BFS child-generation loop of Algorithm 4 to completion.
 
@@ -157,13 +159,12 @@ def _expand_frontier(
     carriers are rebuilt lazily and memoized back into ``truss_graphs``
     (released, like every carrier, when their node is popped).
 
-    The loop is model-agnostic: ``decompose`` mines a child pattern inside
-    a carrier (``decompose_network_pattern`` for vertex database networks,
-    ``decompose_edge_network_pattern`` for edge ones — both accept
-    ``(network, pattern, carrier=..., capture_carrier=...)``) and
-    ``node_factory`` builds the matching node type. Everything else —
-    sibling pairing, masked-carrier intersections, lazy materialization,
-    carrier lifecycle — is identical in the two models.
+    The loop is model-agnostic: ``decompose`` (the model's decompose
+    hook, ``(network, pattern, carrier=..., capture_carrier=...)``) mines
+    a child pattern inside a carrier and ``node_factory`` builds the
+    matching node type. Everything else — sibling pairing, masked-carrier
+    intersections, lazy materialization, carrier lifecycle — is identical
+    in every model.
     """
     with span("build.frontier", seeds=len(queue)):
         _frontier_loop(
@@ -253,19 +254,20 @@ def build_tc_tree(
 ) -> TCTree:
     """Build the TC-Tree of ``network`` (Algorithm 4).
 
+    ``network`` is a vertex or an edge database network; its ``kind``
+    picks the registered model, and the result is that model's tree
+    (:class:`TCTree` or :class:`~repro.edgenet.index.EdgeTCTree`).
     ``max_length`` optionally caps indexed pattern length. ``workers > 1``
-    parallelizes the build: ``backend="process"`` (default) fans layer-1
-    items and their enumeration subtrees across a process pool
-    (:mod:`repro.index.parallel`), ``backend="thread"`` uses the
-    historical GIL-bound thread pool over layer 1 only, and
-    ``backend="serial"`` forces the single-process path regardless of
-    ``workers``. ``reuse`` optionally maps patterns to decompositions
-    known to still be valid (the incremental maintenance path — see
-    :mod:`repro.index.updates`); matching patterns skip recomputation
-    entirely. ``trace`` optionally installs a
-    :class:`~repro.obs.trace.Tracer` for the duration of the build, so
-    the phase spans (warm/layer1/frontier, or phase A/B on the process
-    backend) land in it ready for export.
+    with ``backend="process"`` (the default) fans layer-1 items and their
+    enumeration subtrees across a process pool
+    (:mod:`repro.index.parallel`); ``backend="serial"`` forces the
+    single-process path regardless of ``workers``. ``reuse`` optionally
+    maps patterns to decompositions known to still be valid (the
+    incremental maintenance path — see :mod:`repro.index.updates`);
+    matching patterns skip recomputation entirely. ``trace`` optionally
+    installs a :class:`~repro.obs.trace.Tracer` for the duration of the
+    build, so the phase spans (warm/layer1/frontier, or phase A/B on the
+    process backend) land in it ready for export.
     """
     if trace is not None:
         with tracing(trace):
@@ -278,7 +280,7 @@ def build_tc_tree(
                 )
                 sp.set_attr("nodes", tree.num_nodes)
                 return tree
-    if backend not in ("process", "thread", "serial"):
+    if backend not in ("process", "serial"):
         raise TCIndexError(f"unknown build backend {backend!r}")
     items = network.item_universe()
     if workers > 1 and len(items) > 1 and backend == "process":
@@ -287,27 +289,25 @@ def build_tc_tree(
         return build_tc_tree_process(
             network, max_length=max_length, workers=workers, reuse=reuse
         )
-    root = TCNode(None, EMPTY_PATTERN, None)
+    spec = get_model(network.kind)
+    # Resolved per build, so a rebound module attribute is what runs.
+    decompose = spec.hook("decompose")
+    node_cls = spec.node_cls
+    root = node_cls(None, EMPTY_PATTERN, None)
     reuse = reuse or {}
     # One network-triangle enumeration, amortized across every layer-1
     # theme subgraph that derives its index from it (projection path).
     with span("build.warm_triangles", items=len(items)):
-        warm_network_triangles(network, items)
+        spec.hook("warm")(network, items)
 
     def first_layer(item: int) -> TrussDecomposition:
         cached = reuse.get((item,))
         if cached is not None:
             return cached
-        return decompose_network_pattern(
-            network, (item,), capture_carrier=True
-        )
+        return decompose(network, (item,), capture_carrier=True)
 
     with span("build.layer1", items=len(items), backend=backend):
-        if workers > 1 and len(items) > 1 and backend == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                decompositions = list(pool.map(first_layer, items))
-        else:
-            decompositions = [first_layer(item) for item in items]
+        decompositions = [first_layer(item) for item in items]
 
     # Frontier bookkeeping: the C*_p(0) carrier of every node whose
     # children are still to be built (CSR when labels permit). Carriers
@@ -317,7 +317,7 @@ def build_tc_tree(
     for item, decomposition in zip(items, decompositions):
         if decomposition.is_empty():
             continue
-        node = TCNode(item, (item,), decomposition)
+        node = node_cls(item, (item,), decomposition)
         root.add_child(node)
         queue.append(node)
 
@@ -328,6 +328,7 @@ def build_tc_tree(
     _expand_frontier(
         network, queue, truss_graphs, parent_of,
         max_length=max_length, reuse=reuse,
+        decompose=decompose, node_factory=node_cls,
     )
 
-    return TCTree(root, num_items=len(items))
+    return spec.make_tree(root, len(items))

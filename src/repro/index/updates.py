@@ -269,20 +269,6 @@ def _apply_one(network, delta: Delta) -> None:
         database.replace_transaction(delta.tid, delta.items)
 
 
-def _rebuild(tree, network, max_length, workers, backend, reuse):
-    if tree.kind == "edge":
-        from repro.edgenet.index import build_edge_tc_tree
-
-        return build_edge_tc_tree(
-            network, max_length=max_length, workers=workers,
-            backend=backend, reuse=reuse,
-        )
-    return build_tc_tree(
-        network, max_length=max_length, workers=workers, reuse=reuse,
-        backend=backend,
-    )
-
-
 def apply_deltas(
     network,
     tree: TCTree,
@@ -348,7 +334,10 @@ def apply_deltas(
         if route == "incremental"
         else None
     )
-    new_tree = _rebuild(tree, network, max_length, workers, backend, reuse)
+    new_tree = build_tc_tree(
+        network, max_length=max_length, workers=workers, reuse=reuse,
+        backend=backend,
+    )
 
     spec = registry.model_for_tree(tree)
     registry.record_route(spec.name, f"maintain-{route}")

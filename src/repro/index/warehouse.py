@@ -212,7 +212,13 @@ class ThemeCommunityWarehouse:
         path = Path(path)
         if is_snapshot_file(path):
             with TCTreeSnapshot.open(path) as snapshot:
-                return snapshot.materialize()
+                if snapshot.kind != "vertex":
+                    raise TCIndexError(
+                        f"{snapshot.kind} snapshots hold no vertex "
+                        "warehouse; use TCTreeSnapshot.materialize_tree() "
+                        "or the lazy query engine"
+                    )
+                return cls(snapshot.materialize_tree())
         try:
             with path.open("r", encoding="utf-8") as handle:
                 document = json.load(handle)

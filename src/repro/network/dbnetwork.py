@@ -25,6 +25,10 @@ class DatabaseNetwork:
     already dense integers.
     """
 
+    #: Registered tree model this network builds (see
+    #: :func:`repro.index.tctree.build_tc_tree`).
+    kind = "vertex"
+
     def __init__(
         self,
         graph: Graph | None = None,

@@ -19,12 +19,18 @@ Layout (all integers little-endian)::
                prune_alphas float64 — least α at which C*_p(α) is empty
     payload  one blob per node:
                <QQQ num_frequencies, num_levels, num_edges
-               vertices  int64[num_frequencies]
+               keys      key_width × int64[num_frequencies]
                values    float64[num_frequencies]
                alphas    float64[num_levels]
                counts    uint64[num_levels]   (removed edges per level)
                edge_u    int64[num_edges]     (flat across levels)
                edge_v    int64[num_edges]
+
+The frequency keys are ``key_width`` int64 columns, a property of the
+model the header names (:attr:`repro.engine.registry.ModelSpec.key_width`):
+one column of vertices in a vertex tree (version 1, flags 0), two
+columns of canonical edge endpoints ``u`` then ``v`` in an edge tree
+(version 2, :data:`FLAG_EDGE`). Keys are written in sorted order.
 
 Nodes appear in depth-first preorder (parents before children, siblings
 in item order ≺), so the TOC alone reconstructs every pattern and the
@@ -52,7 +58,6 @@ from repro.engine import registry
 from repro.errors import TCIndexError
 from repro.index.decomposition import DecompositionLevel, TrussDecomposition
 from repro.index.tcnode import TCNode
-from repro.index.tctree import TCTree
 from repro.obs.trace import span
 
 MAGIC = b"REPROTCS"
@@ -60,10 +65,12 @@ VERSION = 1
 
 #: Version 2 extends the format with a payload *kind*: the header flags
 #: carry :data:`FLAG_EDGE` and every payload then stores an edge TC-Tree
-#: node — frequencies keyed by canonical edge pairs (``freq_u``/``freq_v``
-#: int64 arrays replace the v1 ``vertices`` array) rather than by vertex.
-#: Vertex trees keep writing byte-identical v1 files; readers accept
-#: both, so v1 stays the cross-version back-compat witness.
+#: node — frequencies keyed by canonical edge pairs (two key columns)
+#: rather than by vertex. Vertex trees keep writing byte-identical v1
+#: files; readers accept both, so v1 stays the cross-version back-compat
+#: witness. The flags must name a registered model exactly
+#: (:func:`repro.engine.registry.model_for_flags`), and the version must
+#: be that model's.
 EDGE_VERSION = 2
 FLAG_EDGE = 1
 
@@ -113,9 +120,11 @@ def prune_alpha_of(decomposition: TrussDecomposition) -> float:
     )
 
 
-def _encode_payload(decomposition: TrussDecomposition) -> bytes:
-    vertices = sorted(decomposition.frequencies)
-    values = [decomposition.frequencies[v] for v in vertices]
+def _encode_payload(
+    decomposition: TrussDecomposition, key_width: int
+) -> bytes:
+    keys = sorted(decomposition.frequencies)
+    values = [decomposition.frequencies[key] for key in keys]
     alphas: list[float] = []
     counts: list[int] = []
     edge_u: list[int] = []
@@ -126,10 +135,12 @@ def _encode_payload(decomposition: TrussDecomposition) -> bytes:
         for u, v in level.removed_edges:
             edge_u.append(u)
             edge_v.append(v)
+    # With no keys, zip yields no columns: empty columns write no bytes.
+    columns = (keys,) if key_width == 1 else tuple(zip(*keys))
     return b"".join(
         (
-            _PAYLOAD_PREFIX.pack(len(vertices), len(alphas), len(edge_u)),
-            _array_bytes("q", vertices),
+            _PAYLOAD_PREFIX.pack(len(keys), len(alphas), len(edge_u)),
+            *(_array_bytes("q", column) for column in columns),
             _array_bytes("d", values),
             _array_bytes("d", alphas),
             _array_bytes("Q", counts),
@@ -139,89 +150,17 @@ def _encode_payload(decomposition: TrussDecomposition) -> bytes:
     )
 
 
-def _encode_edge_payload(decomposition) -> bytes:
-    """v2 edge-kind payload: frequencies keyed by canonical edge pairs."""
-    freq_edges = sorted(decomposition.frequencies)
-    values = [decomposition.frequencies[e] for e in freq_edges]
-    alphas: list[float] = []
-    counts: list[int] = []
-    edge_u: list[int] = []
-    edge_v: list[int] = []
-    for level in decomposition.levels:
-        alphas.append(level.alpha)
-        counts.append(len(level.removed_edges))
-        for u, v in level.removed_edges:
-            edge_u.append(u)
-            edge_v.append(v)
-    return b"".join(
-        (
-            _PAYLOAD_PREFIX.pack(len(freq_edges), len(alphas), len(edge_u)),
-            _array_bytes("q", [u for u, _ in freq_edges]),
-            _array_bytes("q", [v for _, v in freq_edges]),
-            _array_bytes("d", values),
-            _array_bytes("d", alphas),
-            _array_bytes("Q", counts),
-            _array_bytes("q", edge_u),
-            _array_bytes("q", edge_v),
-        )
-    )
-
-
-def _decode_edge_payload(pattern: Pattern, blob):
-    from repro.edgenet.decomposition import (
-        EdgeDecompositionLevel,
-        EdgeTrussDecomposition,
-    )
-
+def _decode_payload(pattern: Pattern, blob, spec) -> TrussDecomposition:
+    """One payload as ``spec``'s decomposition class (``spec`` is the
+    :class:`~repro.engine.registry.ModelSpec` the header names)."""
     if len(blob) < _PAYLOAD_PREFIX.size:
         raise TCIndexError("truncated snapshot payload")
     num_freq, num_levels, num_edges = _PAYLOAD_PREFIX.unpack_from(blob, 0)
     view = memoryview(blob)[_PAYLOAD_PREFIX.size:]
-    freq_u = _array_from("q", view, num_freq)
-    view = view[num_freq * 8:]
-    freq_v = _array_from("q", view, num_freq)
-    view = view[num_freq * 8:]
-    values = _array_from("d", view, num_freq)
-    view = view[num_freq * 8:]
-    alphas = _array_from("d", view, num_levels)
-    view = view[num_levels * 8:]
-    counts = _array_from("Q", view, num_levels)
-    view = view[num_levels * 8:]
-    edge_u = _array_from("q", view, num_edges)
-    view = view[num_edges * 8:]
-    edge_v = _array_from("q", view, num_edges)
-    levels: list = []
-    cursor = 0
-    for k in range(num_levels):
-        count = counts[k]
-        levels.append(
-            EdgeDecompositionLevel(
-                alphas[k],
-                [
-                    (edge_u[e], edge_v[e])
-                    for e in range(cursor, cursor + count)
-                ],
-            )
-        )
-        cursor += count
-    if cursor != num_edges:
-        raise TCIndexError("snapshot level edge counts disagree with total")
-    return EdgeTrussDecomposition(
-        pattern=pattern,
-        levels=levels,
-        frequencies={
-            (freq_u[i], freq_v[i]): values[i] for i in range(num_freq)
-        },
-    )
-
-
-def _decode_payload(pattern: Pattern, blob) -> TrussDecomposition:
-    if len(blob) < _PAYLOAD_PREFIX.size:
-        raise TCIndexError("truncated snapshot payload")
-    num_freq, num_levels, num_edges = _PAYLOAD_PREFIX.unpack_from(blob, 0)
-    view = memoryview(blob)[_PAYLOAD_PREFIX.size:]
-    vertices = _array_from("q", view, num_freq)
-    view = view[num_freq * 8:]
+    columns = []
+    for _ in range(spec.key_width):
+        columns.append(_array_from("q", view, num_freq))
+        view = view[num_freq * 8:]
     values = _array_from("d", view, num_freq)
     view = view[num_freq * 8:]
     alphas = _array_from("d", view, num_levels)
@@ -247,10 +186,11 @@ def _decode_payload(pattern: Pattern, blob) -> TrussDecomposition:
         cursor += count
     if cursor != num_edges:
         raise TCIndexError("snapshot level edge counts disagree with total")
-    return TrussDecomposition(
+    keys = columns[0] if len(columns) == 1 else zip(*columns)
+    return spec.decomposition_cls(
         pattern=pattern,
         levels=levels,
-        frequencies=dict(zip(vertices, values)),
+        frequencies=dict(zip(keys, values)),
     )
 
 
@@ -281,7 +221,6 @@ def _write_snapshot(tree, path: str | Path) -> int:
         raise TCIndexError(
             f"model {spec.name!r} declares no snapshot payload kind"
         )
-    encode = spec.encode_payload
     items: list[int] = []
     parents: list[int] = []
     offsets: list[int] = []
@@ -306,7 +245,7 @@ def _write_snapshot(tree, path: str | Path) -> int:
         parents.append(
             index_of[parent_pattern] if parent_pattern else ROOT
         )
-        blob = encode(decomposition)
+        blob = _encode_payload(decomposition, spec.key_width)
         offsets.append(len(payload))
         lengths.append(len(blob))
         prune_alphas.append(prune_alpha_of(decomposition))
@@ -358,10 +297,10 @@ def estimate_snapshot_bytes(
     """Exact snapshot size implied by the format, from count statistics.
 
     ``kind`` names the registered model whose payload layout applies: a
-    vertex frequency entry costs 16 bytes (vertex + value), an edge one
-    24 (both endpoints + value).
+    frequency entry costs its ``key_width`` int64 keys plus one float64
+    value — 16 bytes for a vertex, 24 for an edge.
     """
-    per_frequency = registry.get_model(kind).frequency_entry_bytes
+    per_frequency = 8 * (registry.get_model(kind).key_width + 1)
     return (
         _HEADER.size
         + num_nodes * (5 * 8 + _PAYLOAD_PREFIX.size)
@@ -404,11 +343,11 @@ class TCTreeSnapshot:
             raise TCIndexError(
                 f"not a TC-Tree snapshot: bad magic {magic!r}"
             )
-        # A (version, flags) pair no registered tree model claims is
-        # from a future writer we don't know — e.g. a v2 file without
-        # the edge payload-kind flag.
-        spec = registry.model_for_snapshot(version, flags)
-        if spec is None:
+        # The flags name the payload kind; a version that is not that
+        # kind's is from a writer we don't know — e.g. a v2 file without
+        # the edge flag.
+        spec = registry.model_for_flags(flags)
+        if version != spec.snapshot_version:
             raise TCIndexError(f"unsupported snapshot version {version}")
         self._spec = spec
         self.kind = spec.name
@@ -535,7 +474,7 @@ class TCTreeSnapshot:
         """
         start = self._payload_off + self.offsets[index]
         blob = self._buffer[start: start + self.lengths[index]]
-        return self._spec.decode_payload(self._patterns[index], blob)
+        return _decode_payload(self._patterns[index], blob, self._spec)
 
     def find_node(self, pattern: Pattern) -> int | None:
         """TOC index of ``pattern``, or ``None`` if it is not a node.
@@ -551,53 +490,21 @@ class TCTreeSnapshot:
         return index_of.get(tuple(pattern))
 
     # ------------------------------------------------------------------
-    def materialize(self):
-        """Decode every node into an in-memory warehouse (migration path)."""
-        from repro.index.warehouse import ThemeCommunityWarehouse
-
-        if self.kind == "edge":
-            raise TCIndexError(
-                "edge snapshots hold no vertex warehouse; use "
-                "materialize_edge_tree() or the lazy query engine"
-            )
-        root = TCNode(None, (), None)
+    def materialize_tree(self):
+        """Decode every node into this snapshot kind's in-memory tree
+        (:class:`TCTree`, or :class:`~repro.edgenet.index.EdgeTCTree` for
+        an edge snapshot) — the migration and maintenance path."""
+        spec = self._spec
+        root = spec.node_cls(None, (), None)
         nodes: list[TCNode] = []
         for i in range(self.num_nodes):
-            node = TCNode(self.items[i], self._patterns[i], self.decode(i))
-            parent = self.parents[i]
-            (root if parent == ROOT else nodes[parent]).add_child(node)
-            nodes.append(node)
-        return ThemeCommunityWarehouse(
-            TCTree(root, num_items=self.num_items)
-        )
-
-    def materialize_edge_tree(self):
-        """Decode every node into an in-memory :class:`EdgeTCTree`."""
-        from repro.edgenet.index import EdgeTCNode, EdgeTCTree
-
-        if self.kind != "edge":
-            raise TCIndexError(
-                "vertex snapshots materialize via materialize()"
-            )
-        root = EdgeTCNode(None, (), None)
-        nodes: list[EdgeTCNode] = []
-        for i in range(self.num_nodes):
-            node = EdgeTCNode(
+            node = spec.node_cls(
                 self.items[i], self._patterns[i], self.decode(i)
             )
             parent = self.parents[i]
             (root if parent == ROOT else nodes[parent]).add_child(node)
             nodes.append(node)
-        return EdgeTCTree(root, num_items=self.num_items)
-
-    def materialize_tree(self):
-        """Decode every node into this snapshot kind's in-memory tree.
-
-        Model-agnostic entry point: whichever registered tree model
-        wrote the file supplies the materializer, so callers (the CLI's
-        ``stats``, tooling) need no per-kind branching.
-        """
-        return self._spec.materialize(self)
+        return spec.make_tree(root, self.num_items)
 
     def __repr__(self) -> str:
         return (
@@ -625,14 +532,6 @@ DELTA_VERSION = 1
 _DELTA_HEADER = struct.Struct("<8sIIQQQQQ")
 
 
-def _model_for_delta_flags(flags: int):
-    for name in registry.tree_model_names():
-        spec = registry.get_model(name)
-        if spec.has_snapshot and spec.snapshot_flags == flags:
-            return spec
-    return None
-
-
 def diff_trees(base_tree, new_tree):
     """``(removed, changed)`` between two trees of one kind.
 
@@ -650,7 +549,6 @@ def diff_trees(base_tree, new_tree):
             "cannot diff trees of different kinds "
             f"({base_tree.kind!r} vs {new_tree.kind!r})"
         )
-    encode = spec.encode_payload
     base_of = {
         node.pattern: node.decomposition for node in base_tree.iter_nodes()
     }
@@ -661,7 +559,9 @@ def diff_trees(base_tree, new_tree):
         old = base_of.get(node.pattern)
         if old is node.decomposition:
             continue
-        if old is not None and encode(old) == encode(node.decomposition):
+        if old is not None and _encode_payload(
+            old, spec.key_width
+        ) == _encode_payload(node.decomposition, spec.key_width):
             continue
         changed.append((node.pattern, node.decomposition))
     changed.sort(key=lambda entry: entry[0])
@@ -700,13 +600,12 @@ def write_delta_snapshot(
                 f"model {spec.name!r} declares no snapshot payload kind"
             )
         removed, changed = diff_trees(base_tree, new_tree)
-        encode = spec.encode_payload
         offsets: list[int] = []
         lengths: list[int] = []
         prune_alphas: list[float] = []
         payload = bytearray()
         for _pattern, decomposition in changed:
-            blob = encode(decomposition)
+            blob = _encode_payload(decomposition, spec.key_width)
             offsets.append(len(payload))
             lengths.append(len(blob))
             prune_alphas.append(prune_alpha_of(decomposition))
@@ -781,11 +680,7 @@ class DeltaSnapshot:
             raise TCIndexError(
                 f"unsupported delta snapshot version {version}"
             )
-        spec = _model_for_delta_flags(flags)
-        if spec is None:
-            raise TCIndexError(
-                f"unsupported delta snapshot payload flags {flags:#x}"
-            )
+        spec = registry.model_for_flags(flags)
         self._spec = spec
         self.kind = spec.name
 
@@ -841,7 +736,9 @@ class DeltaSnapshot:
         """Decode changed node ``index``'s decomposition."""
         start = self._payload_off + self.offsets[index]
         blob = self._buffer[start: start + self.lengths[index]]
-        return self._spec.decode_payload(self.changed_patterns[index], blob)
+        return _decode_payload(
+            self.changed_patterns[index], blob, self._spec
+        )
 
     def __repr__(self) -> str:
         return (

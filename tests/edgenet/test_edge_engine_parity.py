@@ -98,11 +98,7 @@ class TestEdgeTreeParity:
             oracle = build_edge_tc_tree(network, backend="legacy")
             with projection(True):
                 serial = build_edge_tc_tree(network, backend="serial")
-                threaded = build_edge_tc_tree(
-                    network, workers=4, backend="thread"
-                )
                 process = build_edge_tc_tree(network, workers=2)
-        assert_edge_trees_bit_identical(serial, threaded)
         assert_edge_trees_bit_identical(serial, process)
         assert_matches_legacy_oracle(oracle, serial)
 

@@ -193,7 +193,7 @@ class TestEdgeBuildReuse:
             network, (1,), capture_carrier=True
         )
         tree = build_tc_tree_process(
-            network, workers=1, reuse={(1,): cached}, model="edge"
+            network, workers=1, reuse={(1,): cached}
         )
         assert tree.find_node((1,)).decomposition is cached
 

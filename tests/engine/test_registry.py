@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +12,7 @@ from repro.engine.registry import (
     ModelSpec,
     all_cutovers,
     get_model,
-    model_for_snapshot,
+    model_for_flags,
     model_for_tree,
     model_names,
     register_model,
@@ -20,7 +21,18 @@ from repro.engine.registry import (
     unregister_model,
 )
 from repro.errors import TCIndexError
-from repro.serve.snapshot import EDGE_VERSION, FLAG_EDGE, VERSION
+from repro.serve.snapshot import (
+    EDGE_VERSION,
+    FLAG_EDGE,
+    MAGIC,
+    VERSION,
+    TCTreeSnapshot,
+)
+
+
+def _header(version: int, flags: int) -> bytes:
+    """A REPROTCS header of an empty tree (no TOC, no payload)."""
+    return struct.pack("<8sIIQQQQ", MAGIC, version, flags, 0, 0, 48, 48)
 
 
 class TestResolveRef:
@@ -58,18 +70,28 @@ class TestBuiltinModels:
             assert spec.is_tree_model
             assert spec.has_snapshot
             for hook in (
-                spec.decompose,
                 spec.decomposition_cls,
                 spec.node_cls,
                 spec.make_tree,
-                spec.layer1_costs,
-                spec.warm,
-                spec.serial_build,
-                spec.encode_payload,
-                spec.decode_payload,
-                spec.materialize,
             ):
                 assert hook is not None
+            # The build hooks are refs, resolved when a build asks.
+            for name in ("decompose", "warm", "layer1_costs"):
+                assert callable(spec.hook(name))
+            assert spec.key_width in (1, 2)
+
+    def test_hooks_resolve_at_call_time(self, monkeypatch):
+        import repro.index.decomposition as decomposition_module
+
+        spec = get_model("vertex")
+        assert (
+            spec.hook("decompose")
+            is decomposition_module.decompose_network_pattern
+        )
+        monkeypatch.setattr(
+            decomposition_module, "decompose_network_pattern", len
+        )
+        assert spec.hook("decompose") is len
 
     def test_workload_models_carry_entry_points(self):
         from repro.graphs.probtruss import probabilistic_k_truss
@@ -84,18 +106,30 @@ class TestBuiltinModels:
 
 class TestSnapshotDispatch:
     def test_vertex_matches_v1(self):
-        assert model_for_snapshot(VERSION, 0) is get_model("vertex")
+        spec = model_for_flags(0)
+        assert spec is get_model("vertex")
+        assert (spec.snapshot_version, spec.key_width) == (VERSION, 1)
+        assert TCTreeSnapshot(_header(VERSION, 0)).kind == "vertex"
 
     def test_edge_matches_v2_with_flag(self):
-        assert (
-            model_for_snapshot(EDGE_VERSION, FLAG_EDGE) is get_model("edge")
-        )
+        spec = model_for_flags(FLAG_EDGE)
+        assert spec is get_model("edge")
+        assert (spec.snapshot_version, spec.key_width) == (EDGE_VERSION, 2)
+        assert TCTreeSnapshot(_header(EDGE_VERSION, FLAG_EDGE)).kind == "edge"
 
     def test_v2_without_edge_flag_is_unsupported(self):
-        assert model_for_snapshot(EDGE_VERSION, 0) is None
+        # Flags 0 name the vertex model, whose version is 1.
+        with pytest.raises(TCIndexError, match="version 2"):
+            TCTreeSnapshot(_header(EDGE_VERSION, 0))
 
     def test_unknown_version_is_unsupported(self):
-        assert model_for_snapshot(99, 0) is None
+        with pytest.raises(TCIndexError, match="version 99"):
+            TCTreeSnapshot(_header(99, 0))
+
+    @pytest.mark.parametrize("flags", [0x80, FLAG_EDGE | 0x80, 0xFFFFFFFF])
+    def test_unknown_flag_bits_are_refused(self, flags):
+        with pytest.raises(TCIndexError, match="payload flags"):
+            model_for_flags(flags)
 
     def test_model_for_tree_reads_the_kind_tag(self):
         assert model_for_tree(SimpleNamespace(kind="edge")) is get_model(

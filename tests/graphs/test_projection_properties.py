@@ -91,11 +91,7 @@ class TestTreeParity:
             with projection(False):
                 oracle = build_tc_tree(network)
             with projection(True):
-                threaded = build_tc_tree(
-                    network, workers=4, backend="thread"
-                )
                 process = build_tc_tree(network, workers=2)
-        assert_trees_bit_identical(oracle, threaded)
         assert_trees_bit_identical(oracle, process)
 
     @settings(deadline=None, max_examples=10)

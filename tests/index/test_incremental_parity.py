@@ -138,19 +138,6 @@ class TestVertexDeltaEquivalence:
         assert result.route in expected
         assert snapshot_bytes(result.tree) == snapshot_bytes(scratch)
 
-    @settings(deadline=None, max_examples=10)
-    @given(vertex_maintenance_cases())
-    def test_thread_backend_bit_identical(self, case):
-        network, deltas = case
-        base = build_tc_tree(network)
-        mutated = copy.deepcopy(network)
-        result = apply_deltas(
-            mutated, base, deltas, mode="incremental",
-            workers=2, backend="thread",
-        )
-        scratch = build_tc_tree(mutated)
-        assert snapshot_bytes(result.tree) == snapshot_bytes(scratch)
-
     @settings(deadline=None, max_examples=15)
     @given(database_networks())
     def test_empty_stream_is_a_fresh_identical_clone(self, network):
@@ -201,19 +188,6 @@ class TestEdgeDeltaEquivalence:
         base = build_edge_tc_tree(network, backend="serial")
         mutated = copy.deepcopy(network)
         result = apply_deltas(mutated, base, deltas, mode="incremental")
-        scratch = build_edge_tc_tree(mutated, backend="serial")
-        assert snapshot_bytes(result.tree) == snapshot_bytes(scratch)
-
-    @settings(deadline=None, max_examples=8)
-    @given(edge_maintenance_cases())
-    def test_thread_backend_bit_identical(self, case):
-        network, deltas = case
-        base = build_edge_tc_tree(network, backend="serial")
-        mutated = copy.deepcopy(network)
-        result = apply_deltas(
-            mutated, base, deltas, mode="incremental",
-            workers=2, backend="thread",
-        )
         scratch = build_edge_tc_tree(mutated, backend="serial")
         assert snapshot_bytes(result.tree) == snapshot_bytes(scratch)
 

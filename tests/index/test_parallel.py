@@ -163,9 +163,7 @@ class TestProcessParity:
 
     def test_synthetic_all_backends(self, syn_network):
         serial = build_tc_tree(syn_network)
-        threaded = build_tc_tree(syn_network, workers=4, backend="thread")
         process = build_tc_tree(syn_network, workers=2)
-        assert_trees_identical(serial, threaded)
         assert_trees_identical(serial, process)
 
     def test_synthetic_max_length(self, syn_network):
@@ -182,9 +180,7 @@ class TestProcessParity:
     @given(database_networks())
     def test_randomized_parity(self, network):
         serial = build_tc_tree(network)
-        threaded = build_tc_tree(network, workers=4, backend="thread")
         process = build_tc_tree(network, workers=2)
-        assert_trees_identical(serial, threaded)
         assert_trees_identical(serial, process)
 
     def test_update_through_process_pool(self, syn_network):

@@ -83,7 +83,7 @@ class TestGoldenDeltaFixture:
     def test_base_plus_overlay_reconstructs_updated(self, tmp_path):
         """The serving contract: full base snapshot + overlay chain ==
         the updated index, bit for bit."""
-        base_tree = TCTreeSnapshot.open(FULL_FIXTURE).materialize().tree
+        base_tree = TCTreeSnapshot.open(FULL_FIXTURE).materialize_tree()
         delta = DeltaSnapshot.open(DELTA_FIXTURE)
         reconstructed = apply_delta_to_tree(base_tree, delta)
         _, updated = golden_maintenance()

@@ -56,12 +56,14 @@ def golden_edge_maintenance():
     return base, result.tree
 
 
-def _with_version(fixture: Path, offset: int, version: int, tmp_path):
+def _with_u32(fixture: Path, offset: int, value: int, tmp_path):
+    """A copy of ``fixture`` with the header word at ``offset`` replaced
+    (after the 8-byte magic: the version, then the flags)."""
     blob = bytearray(fixture.read_bytes())
-    struct.pack_into("<I", blob, offset, version)
-    bumped = tmp_path / f"bumped-{fixture.name}"
-    bumped.write_bytes(blob)
-    return bumped
+    struct.pack_into("<I", blob, offset, value)
+    crafted = tmp_path / f"crafted-{fixture.name}"
+    crafted.write_bytes(blob)
+    return crafted
 
 
 class TestGoldenEdgeSnapshot:
@@ -93,11 +95,18 @@ class TestGoldenEdgeSnapshot:
         assert out.read_bytes() == FULL_FIXTURE.read_bytes()
 
     def test_future_version_is_rejected(self, tmp_path):
-        bumped = _with_version(
+        bumped = _with_u32(
             FULL_FIXTURE, len(MAGIC), EDGE_VERSION + 1, tmp_path
         )
         with pytest.raises(TCIndexError, match="version"):
             TCTreeSnapshot.open(bumped)
+
+    def test_unknown_flag_bits_are_rejected(self, tmp_path):
+        crafted = _with_u32(
+            FULL_FIXTURE, len(MAGIC) + 4, FLAG_EDGE | 0x80, tmp_path
+        )
+        with pytest.raises(TCIndexError, match="flags"):
+            TCTreeSnapshot.open(crafted)
 
 
 class TestGoldenEdgeDelta:
@@ -135,8 +144,15 @@ class TestGoldenEdgeDelta:
         assert a.read_bytes() == b.read_bytes()
 
     def test_future_version_is_rejected(self, tmp_path):
-        bumped = _with_version(
+        bumped = _with_u32(
             DELTA_FIXTURE, len(DELTA_MAGIC), DELTA_VERSION + 1, tmp_path
         )
         with pytest.raises(TCIndexError, match="version"):
             DeltaSnapshot.open(bumped)
+
+    def test_unknown_flag_bits_are_rejected(self, tmp_path):
+        crafted = _with_u32(
+            DELTA_FIXTURE, len(DELTA_MAGIC) + 4, 0x80, tmp_path
+        )
+        with pytest.raises(TCIndexError, match="flags"):
+            DeltaSnapshot.open(crafted)

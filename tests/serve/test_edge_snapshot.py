@@ -16,6 +16,7 @@ import pytest
 from repro.edgenet.index import build_edge_tc_tree
 from repro.edgenet.network import EdgeDatabaseNetwork
 from repro.errors import TCIndexError
+from repro.index.warehouse import ThemeCommunityWarehouse
 from repro.serve.engine import IndexedWarehouse
 from repro.serve.snapshot import (
     EDGE_VERSION,
@@ -85,23 +86,16 @@ class TestEdgeSnapshotFormat:
 
     def test_materialize_dispatch(self, edge_tree, edge_snapshot_path):
         with TCTreeSnapshot.open(edge_snapshot_path) as snapshot:
-            with pytest.raises(TCIndexError, match="edge"):
-                snapshot.materialize()
-            rebuilt = snapshot.materialize_edge_tree()
+            rebuilt = snapshot.materialize_tree()
+        # The vertex warehouse refuses an edge file outright.
+        with pytest.raises(TCIndexError, match="edge"):
+            ThemeCommunityWarehouse.load(edge_snapshot_path)
         assert rebuilt.kind == "edge"
         assert rebuilt.patterns() == edge_tree.patterns()
         for alpha in (0.0, 0.3):
             assert_answers_identical(
                 edge_tree.query(alpha=alpha), rebuilt.query(alpha=alpha)
             )
-
-    def test_vertex_snapshot_refuses_edge_materialize(
-        self, toy_snapshot_path
-    ):
-        with TCTreeSnapshot.open(toy_snapshot_path) as snapshot:
-            assert snapshot.kind == "vertex"
-            with pytest.raises(TCIndexError, match="vertex"):
-                snapshot.materialize_edge_tree()
 
     def test_stats_snapshot_estimate_is_exact(
         self, edge_tree, edge_snapshot_path

@@ -25,6 +25,7 @@ from repro.datasets.synthetic import generate_synthetic_network
 from repro.errors import TCIndexError
 from repro.index.tctree import build_tc_tree
 from repro.serve.snapshot import (
+    FLAG_EDGE,
     MAGIC,
     VERSION,
     TCTreeSnapshot,
@@ -71,8 +72,9 @@ class TestGoldenFixture:
 
     def test_materializes_round_trip(self):
         with TCTreeSnapshot.open(FIXTURE) as snapshot:
-            warehouse = snapshot.materialize()
-        assert warehouse.tree.patterns() == GOLDEN_PATTERNS
+            tree = snapshot.materialize_tree()
+        assert tree.kind == "vertex"
+        assert tree.patterns() == GOLDEN_PATTERNS
 
     def test_write_is_byte_stable(self, tmp_path):
         """Rebuilding the same tree must reproduce the fixture exactly.
@@ -93,3 +95,15 @@ class TestGoldenFixture:
         bumped.write_bytes(blob)
         with pytest.raises(TCIndexError, match="version"):
             TCTreeSnapshot.open(bumped)
+
+    @pytest.mark.parametrize("flags", [FLAG_EDGE, 0x80, 0xFFFFFFFF])
+    def test_foreign_flags_are_rejected(self, tmp_path, flags):
+        """The flags must name a payload kind exactly: the edge flag on
+        a v1 file, or a bit no model declares, is refused — not read as
+        a vertex snapshot."""
+        blob = bytearray(FIXTURE.read_bytes())
+        struct.pack_into("<I", blob, len(MAGIC) + 4, flags)
+        crafted = tmp_path / "flags.tcsnap"
+        crafted.write_bytes(blob)
+        with pytest.raises(TCIndexError):
+            TCTreeSnapshot.open(crafted)

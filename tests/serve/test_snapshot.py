@@ -36,7 +36,10 @@ class TestRoundTrip:
         with TCTreeSnapshot.open(toy_snapshot_path) as snapshot:
             assert snapshot.num_nodes == toy_warehouse.num_indexed_trusses
             assert snapshot.patterns() == toy_warehouse.tree.patterns()
-            _assert_lossless(toy_warehouse, snapshot.materialize())
+            _assert_lossless(
+                toy_warehouse,
+                ThemeCommunityWarehouse(snapshot.materialize_tree()),
+            )
 
     @settings(deadline=None, max_examples=15)
     @given(database_networks())
@@ -46,7 +49,10 @@ class TestRoundTrip:
         write_snapshot(warehouse.tree, path)
         with TCTreeSnapshot.open(path) as snapshot:
             assert snapshot.num_items == warehouse.tree.num_items
-            _assert_lossless(warehouse, snapshot.materialize())
+            _assert_lossless(
+                warehouse,
+                ThemeCommunityWarehouse(snapshot.materialize_tree()),
+            )
 
     def test_empty_tree(self, tmp_path):
         from repro.network.dbnetwork import DatabaseNetwork
@@ -57,7 +63,7 @@ class TestRoundTrip:
         with TCTreeSnapshot.open(path) as snapshot:
             assert snapshot.num_nodes == 0
             assert snapshot.patterns() == []
-            assert snapshot.materialize().num_indexed_trusses == 0
+            assert snapshot.materialize_tree().num_nodes == 0
 
     def test_reported_size_matches_file(
         self, toy_warehouse, tmp_path
@@ -135,7 +141,10 @@ class TestMigration:
         assert json_bytes == json_path.stat().st_size
         assert snapshot_bytes == snap_path.stat().st_size
         with TCTreeSnapshot.open(snap_path) as snapshot:
-            _assert_lossless(toy_warehouse, snapshot.materialize())
+            _assert_lossless(
+                toy_warehouse,
+                ThemeCommunityWarehouse(snapshot.materialize_tree()),
+            )
 
     @settings(deadline=None, max_examples=10)
     @given(database_networks())

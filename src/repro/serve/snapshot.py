@@ -157,10 +157,10 @@ def _decode_payload(pattern: Pattern, blob, spec) -> TrussDecomposition:
         raise TCIndexError("truncated snapshot payload")
     num_freq, num_levels, num_edges = _PAYLOAD_PREFIX.unpack_from(blob, 0)
     view = memoryview(blob)[_PAYLOAD_PREFIX.size:]
-    columns = []
-    for _ in range(spec.key_width):
-        columns.append(_array_from("q", view, num_freq))
-        view = view[num_freq * 8:]
+    # The key columns are contiguous: read them as one block.
+    width = spec.key_width
+    keys = _array_from("q", view, width * num_freq)
+    view = view[width * num_freq * 8:]
     values = _array_from("d", view, num_freq)
     view = view[num_freq * 8:]
     alphas = _array_from("d", view, num_levels)
@@ -186,7 +186,10 @@ def _decode_payload(pattern: Pattern, blob, spec) -> TrussDecomposition:
         cursor += count
     if cursor != num_edges:
         raise TCIndexError("snapshot level edge counts disagree with total")
-    keys = columns[0] if len(columns) == 1 else zip(*columns)
+    if width > 1:
+        keys = zip(*(
+            keys[c * num_freq:(c + 1) * num_freq] for c in range(width)
+        ))
     return spec.decomposition_cls(
         pattern=pattern,
         levels=levels,
